@@ -295,7 +295,9 @@ def node_uses(node: FlowNode,
 
     if node.kind == "assign" and isinstance(stmt,
                                             (N.Assign, N.VectorAssign)):
-        scan(stmt.value)
+        _, *read = N.stmt_exprs(stmt)  # the value, and a vector mask
+        for expr in read:
+            scan(expr)
         # Address computation of a store target is a read too.
         if isinstance(stmt.target, N.Mem):
             scan(stmt.target.addr)

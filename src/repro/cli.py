@@ -26,6 +26,8 @@ import os
 import sys
 from typing import List, Optional
 
+from .driver import (CLEAN_REJECTIONS, CompileRequest, Outcome,
+                     compile_request, titan_config)
 from .frontend.lower import compile_to_il
 from .il.printer import format_program
 from .inline.database import InlineDatabase
@@ -33,11 +35,9 @@ from .interp import ENGINES
 from .obs import schemas, telemetry
 from .obs.log import Logger
 from .obs.metrics import MetricsRegistry, SpanMetricsConsumer
-from .obs.report import CompilationReport, metrics_from_result
+from .obs.report import metrics_from_result
 from .obs.telemetry import EventLogWriter, SpanHook
-from .pipeline import CompilerOptions, TitanCompiler
-from .titan.config import TitanConfig
-from .titan.simulator import TitanSimulator
+from .pipeline import CompilerOptions
 
 
 def build_arg_parser() -> argparse.ArgumentParser:
@@ -212,9 +212,14 @@ def main(argv: Optional[List[str]] = None) -> int:
     log = Logger("titancc", json_mode=args.log_json, quiet=args.quiet)
     with open(args.source) as handle:
         source = handle.read()
+    options = options_from_args(args)
 
     if args.make_db:
-        program = compile_to_il(source, args.source)
+        try:
+            program = compile_to_il(source, args.source)
+        except CLEAN_REJECTIONS as exc:
+            log.error(str(exc))
+            return 1
         db = InlineDatabase()
         db.add_program(program)
         db.save(args.make_db)
@@ -228,16 +233,10 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     database: Optional[InlineDatabase] = None
     if args.use_db:
-        # Databases load through the process-global catalog cache,
-        # keyed by file *content* hash: repeated invocations in one
-        # process (test suites, the service, tooling that drives
-        # main() in a loop) unpickle each distinct database once
-        # instead of rebuilding the catalog every time.
-        from .service.cache import load_database
         database = InlineDatabase()
         origin = {}  # procedure name -> database path it came from
         for path in args.use_db:
-            loaded = load_database(path)
+            loaded = InlineDatabase.load(path)
             for name in loaded.entries:
                 if name in origin:
                     log.warning(
@@ -248,7 +247,7 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     if args.bisect or args.bisect_json:
         from .check.bisect import bisect_source
-        verdict = bisect_source(source, options_from_args(args),
+        verdict = bisect_source(source, options,
                                 name=args.source,
                                 entry=args.check_entry,
                                 engine=args.engine,
@@ -290,17 +289,19 @@ def main(argv: Optional[List[str]] = None) -> int:
     attributor = None
     if args.attrib or args.attrib_json:
         from .obs.attrib import CycleAttributor
-        attributor = CycleAttributor(
-            config=TitanConfig(processors=args.processors,
-                               max_vector_length=args.vector_length),
-            source=args.source)
+        attributor = CycleAttributor(config=titan_config(options),
+                                     source=args.source)
         hooks.append(attributor)
 
-    compiler = TitanCompiler(options_from_args(args), database,
-                             hooks=tuple(hooks))
+    request = CompileRequest(source=source, filename=args.source,
+                             options=options, run=args.run,
+                             engine=args.engine)
     try:
         with telemetry.session(*consumers):
-            return _compile_main(args, compiler, source, checker,
+            outcome = compile_request(request, database, hooks,
+                                      profile=args.profile,
+                                      checker=checker)
+            return _emit_outcome(args, outcome, checker,
                                  session_registry, event_writer,
                                  attributor, log)
     finally:
@@ -308,16 +309,18 @@ def main(argv: Optional[List[str]] = None) -> int:
             event_writer.close()
 
 
-def _compile_main(args: argparse.Namespace, compiler: TitanCompiler,
-                  source: str, checker,
+def _emit_outcome(args: argparse.Namespace, outcome: Outcome, checker,
                   session_registry, event_writer,
-                  attributor=None, log: Optional[Logger] = None) -> int:
-    """The compile → dump → simulate → report path of :func:`main`,
-    run inside the telemetry session (if one is active) so engine and
-    analysis spans land in the session consumers."""
-    log = log or Logger("titancc", json_mode=args.log_json,
-                        quiet=args.quiet)
-    result = compiler.compile(source, args.source)
+                  attributor, log: Logger) -> int:
+    """The print/write half of :func:`main`, inside its telemetry
+    session so engine spans land there.  A rejected input is one
+    diagnostic line and exit 1; a crash keeps its traceback."""
+    result, sim_report, report, error = outcome
+    if error is not None:
+        if error.kind == "crash":
+            raise error.exc
+        log.error(str(error.exc))
+        return 1
 
     if checker is not None:
         print(checker.format_table(), file=sys.stderr)
@@ -352,7 +355,6 @@ def _compile_main(args: argparse.Namespace, compiler: TitanCompiler,
                              show_lines=args.print_lines))
 
     if args.dump_deps:
-        import json as _json
         os.makedirs(args.dump_deps, exist_ok=True)
         for graph in result.dep_graphs:
             base = os.path.join(args.dump_deps, graph.slug)
@@ -376,15 +378,7 @@ def _compile_main(args: argparse.Namespace, compiler: TitanCompiler,
             return 1
         sys.stderr.write(listing)
 
-    config = TitanConfig(processors=args.processors,
-                         max_vector_length=args.vector_length)
-    sim_report = None
-    if args.run:
-        simulator = TitanSimulator(result.program, config,
-                                   schedules=result.schedules or None,
-                                   profile=args.profile,
-                                   engine=args.engine)
-        sim_report = simulator.run(args.run)
+    if sim_report is not None:
         if sim_report.stdout:
             out = sys.stderr if stdout_artifact else sys.stdout
             out.write(sim_report.stdout)
@@ -396,12 +390,6 @@ def _compile_main(args: argparse.Namespace, compiler: TitanCompiler,
         if args.profile and sim_report.profile is not None:
             print(sim_report.profile.format(), file=sys.stderr)
 
-    # The report embeds everything above (counters, remarks, coverage,
-    # dependence graphs, trace, simulation), so it is assembled last.
-    report = CompilationReport.from_result(result, filename=args.source,
-                                           titan_report=sim_report,
-                                           config=config,
-                                           checker=checker)
     if args.stats:
         print("\n" + report.format_stats(), file=sys.stderr)
 

@@ -171,7 +171,8 @@ class DependenceGraph:
         #       dependence from stmt i to stmt j.
         # '=' : same iteration: textual order decides src/dst.
         # '>' : rb's iteration is earlier: carried from j to i.
-        for direction in result.directions:
+        # Sorted ('<' '=' '>'): set order follows per-process hashing.
+        for direction in sorted(result.directions):
             if direction == EQ:
                 if i == j:
                     continue  # same statement, same iteration: ordered

@@ -810,4 +810,9 @@ def _fold_int(expr: A.Expr, parser: Parser) -> Optional[int]:
 def parse(source: str, filename: str = "<input>") -> A.TranslationUnit:
     """Tokenize and parse preprocessed C text."""
     tokens = L.tokenize(source, filename)
-    return Parser(tokens).parse_translation_unit()
+    parser = Parser(tokens)
+    try:
+        return parser.parse_translation_unit()
+    except RecursionError:  # one Python frame per nesting level
+        raise ParseError("nesting too deep",
+                         parser._peek().coord) from None

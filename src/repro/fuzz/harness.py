@@ -34,12 +34,8 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence, Tuple
 
-from ..frontend.ctypes_ import TypeError_
-from ..frontend.lexer import LexError
-from ..frontend.lower import LoweringError, compile_to_il
-from ..frontend.parser import ParseError
-from ..frontend.preprocessor import PreprocessorError
-from ..frontend.symtab import SymbolError
+from ..driver import CLEAN_REJECTIONS, classify_exception
+from ..frontend.lower import compile_to_il
 from ..interp.interpreter import ENGINES, make_interpreter
 from ..jobs import TaskOutcome, run_ordered
 from ..obs.metrics import MetricsRegistry
@@ -51,17 +47,6 @@ from .generator import GeneratedProgram, GeneratorOptions, \
 #: registries always merge (matching bounds are required).
 SOURCE_BYTES_BUCKETS = (128.0, 256.0, 512.0, 1024.0, 2048.0, 4096.0,
                         8192.0)
-
-#: Exceptions that are legitimate diagnostics for invalid input.
-CLEAN_REJECTIONS = (LexError, ParseError, LoweringError,
-                    PreprocessorError, SymbolError, TypeError_)
-
-
-def classify_exception(exc: BaseException) -> str:
-    """``"reject"`` for a clean front-end diagnostic, ``"crash"`` for
-    anything else (an internal error escaping the compiler)."""
-    return "reject" if isinstance(exc, CLEAN_REJECTIONS) else "crash"
-
 
 def resolve_engines(engine: str) -> Tuple[str, ...]:
     """The engines one ``engine`` selector runs variants on:

@@ -24,6 +24,8 @@ paper says the vectorizer was specially tuned to handle (section 9).
 from __future__ import annotations
 
 import itertools
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass, field
 from typing import Iterator, List, Optional, Sequence, Tuple, Union
 
@@ -262,24 +264,21 @@ class Iota(Expr):
 # Statements
 # ---------------------------------------------------------------------------
 
-_sid_counter = itertools.count(1)
+#: Statement ids; the default counter serves IL built outside a scope.
+_SIDS = ContextVar("titancc_sids", default=itertools.count(1))
 
 
-def reset_sids(start: int = 1) -> None:
-    """Rewind the process-global statement-id counter.
-
-    Sids only need to be unique *within* a program, but because they
-    come from a process-global counter, the sids a compile produces —
-    and with them every report byte that embeds one — depend on how
-    many statements the process parsed before.  Callers that promise
-    byte-deterministic output for a single compile (the compilation
-    service) reset the counter before the front-end parse so the same
-    source always yields the same sids, exactly as in a fresh
-    process.  Statements cloned afterwards (e.g. database imports
-    during inlining) draw fresh sids from the reset sequence, which is
-    equally deterministic."""
-    global _sid_counter
-    _sid_counter = itertools.count(start)
+@contextmanager
+def sid_scope() -> Iterator[None]:
+    """Number the statements created inside the block from 1.  Every
+    ``TitanCompiler.compile`` and service ``build_catalog`` runs in its
+    own scope, so the sids it produces, and every report byte that
+    embeds one, depend only on its input."""
+    token = _SIDS.set(itertools.count(1))
+    try:
+        yield
+    finally:
+        _SIDS.reset(token)
 
 
 @dataclass(eq=False)
@@ -287,7 +286,7 @@ class Stmt:
     """Base class of IL statements.  ``sid`` is a stable identity used
     by use-def chains and the dependence graph."""
 
-    sid: int = field(default_factory=lambda: next(_sid_counter),
+    sid: int = field(default_factory=lambda: next(_SIDS.get()),
                      kw_only=True)
     # 1-based source line the statement was lowered from (0 = synthetic
     # or unknown).  Carried through transformations so optimization

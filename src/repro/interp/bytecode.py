@@ -51,8 +51,8 @@ when its baked facts still hold — same memory size, every baked
 global symbol still at its compile-time address — so fresh
 interpreters over the same program (benchmark reps, fuzz variant
 sweeps, repeated ``simulate`` calls) skip re-lowering entirely.
-Hit/miss counts land in the process metrics registry under
-``titancc_engine_codegen_cache_total``.  Code that mutates a program
+Each engine counts its own lookups in ``codegen_hits`` and
+``codegen_misses``.  Code that mutates a program
 in place must call :meth:`BytecodeInterpreter.invalidate_graphs`,
 which drops these entries along with the flow-graph caches.
 """
@@ -69,7 +69,6 @@ from ..analysis.flowgraph import FlowNode
 from ..frontend.ctypes_ import CType, FloatType, IntType, PointerType
 from ..frontend.symtab import Symbol
 from ..il import nodes as N
-from ..obs.metrics import REGISTRY
 from .compiled import (CompiledInterpreter, _CompiledFunction,
                        _FunctionCompiler, _UNSET, _binop_impl,
                        _fast_round_f32, _is_aggregate, _make_loader,
@@ -170,11 +169,6 @@ def _materialize_recipe(engine, recipe: tuple):
     if kind == "call":
         return _make_call_helper(engine, recipe[1])
     raise InterpreterError(f"unknown codegen recipe {recipe!r}")
-
-
-def _cache_counter(outcome: str):
-    return REGISTRY.counter("titancc_engine_codegen_cache_total",
-                            {"engine": "bytecode", "outcome": outcome})
 
 
 def _ind(lines: Sequence[str]) -> List[str]:
@@ -1569,6 +1563,9 @@ class BytecodeInterpreter(CompiledInterpreter):
     """
 
     engine_name = "bytecode"
+    #: Codegen-cache lookups (a fallback entry counts as a miss).
+    codegen_hits = 0
+    codegen_misses = 0
 
     def _exec_function(self, fn: N.ILFunction,
                        args: List[Value]) -> Optional[Value]:
@@ -1593,11 +1590,12 @@ class BytecodeInterpreter(CompiledInterpreter):
                 return _FunctionCompiler(self, fn).compile()
         entry = getattr(fn, _CACHE_ATTR, None)
         if entry is not None and self._entry_valid(entry):
-            outcome = "hit" if isinstance(entry, _CodegenEntry) \
-                else "miss"
-            _cache_counter(outcome).inc()
+            if isinstance(entry, _CodegenEntry):
+                self.codegen_hits += 1
+            else:
+                self.codegen_misses += 1
             return self._install(entry)
-        _cache_counter("miss").inc()
+        self.codegen_misses += 1
         with telemetry.span("engine-codegen", cat="engine",
                             engine=self.engine_name, function=fn.name):
             try:

@@ -30,7 +30,7 @@ The per-run layers, as before (all off by default):
 
 from .log import Logger, get_logger
 from .metrics import (Counter, Gauge, Histogram, MetricsRegistry,
-                      REGISTRY, SpanMetricsConsumer)
+                      SpanMetricsConsumer)
 from .profiler import (FunctionProfile, HotLoopProfiler, LoopInfo,
                        LoopProfile, ProfileReport, collect_loop_info)
 from .remarks import (ANALYSIS, MISSED, TRANSFORMED, Remark,
@@ -44,7 +44,7 @@ __all__ = [
     "PassTracer", "TraceEvent",
     "Span", "Telemetry", "TELEMETRY", "SpanHook", "EventLogWriter",
     "session", "span",
-    "Counter", "Gauge", "Histogram", "MetricsRegistry", "REGISTRY",
+    "Counter", "Gauge", "Histogram", "MetricsRegistry",
     "SpanMetricsConsumer",
     "Logger", "get_logger",
     "FunctionProfile", "HotLoopProfiler", "LoopInfo", "LoopProfile",

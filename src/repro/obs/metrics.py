@@ -320,7 +320,3 @@ class SpanMetricsConsumer:
                                 buckets=self._buckets) \
             .observe(finished.duration_us / 1e6)
 
-
-#: The process-wide default registry — what ad-hoc producers without a
-#: session of their own record into.
-REGISTRY = MetricsRegistry()

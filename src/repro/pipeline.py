@@ -186,6 +186,7 @@ class TitanCompiler:
 
     # ------------------------------------------------------------------
 
+    @N.sid_scope()  # statements number from 1 in every compile
     def compile(self, source: str, filename: str = "<input>",
                 headers: Optional[Dict[str, str]] = None
                 ) -> CompilationResult:

@@ -1,5 +1,4 @@
-"""Content-addressed caching: the service's two levels plus the
-process-global catalog cache the CLI's ``--use-db`` path shares.
+"""Content-addressed caching: the service's two levels.
 
 **Keying is over content bytes, deliberately.**  ``content_hash`` is
 sha256 of the exact bytes: two sources differing only in whitespace or
@@ -113,9 +112,6 @@ class LRUCache:
         """Keys oldest-first (the eviction order)."""
         return list(self._entries)
 
-    def clear(self) -> None:
-        self._entries.clear()
-
     def stats(self) -> Dict[str, int]:
         return {"entries": len(self._entries), "hits": self.hits,
                 "misses": self.misses, "evictions": self.evictions}
@@ -145,14 +141,14 @@ class CatalogEntry:
 def build_catalog(source: str,
                   filename: str = "<catalog>") -> CatalogEntry:
     """Front-end parse + catalog one source (no optimization).  The
-    sid counter is rewound first so identical content always yields
-    an identical catalog blob and IL hash, whatever the process parsed
-    before."""
+    parse numbers its statements in its own sid scope, so identical
+    content always yields an identical catalog blob and IL hash,
+    whatever the process parsed before."""
     from ..frontend.lower import compile_to_il
     from ..il import nodes as N
     from ..il.printer import format_program
-    N.reset_sids()
-    program = compile_to_il(source, filename)
+    with N.sid_scope():
+        program = compile_to_il(source, filename)
     # The IL hash includes source-line annotations: reports embed
     # line numbers, so two sources may print identical IL yet compile
     # to different payloads if their statements sit on different
@@ -190,28 +186,3 @@ class CatalogCache:
 
     def stats(self) -> Dict[str, int]:
         return {**self.lru.stats(), "builds": self.builds}
-
-    def clear(self) -> None:
-        self.lru.clear()
-        self.builds = 0
-
-
-#: Process-global catalog cache for ``--use-db`` database files,
-#: keyed by *file content* hash — the fix for the CLI rebuilding its
-#: procedure catalog from scratch on every invocation.  Values are
-#: :class:`InlineDatabase` objects; entries are cloned on import, so
-#: sharing one loaded database across invocations is safe.
-GLOBAL_CATALOGS = CatalogCache()
-
-
-def load_database(path: str,
-                  cache: Optional[CatalogCache] = None
-                  ) -> InlineDatabase:
-    """Load a pickled ``.ildb`` procedure database through the catalog
-    cache: the file's content hash is the key, so re-reading the same
-    bytes (same path or a copy) unpickles once per process."""
-    cache = GLOBAL_CATALOGS if cache is None else cache
-    with open(path, "rb") as handle:
-        blob = handle.read()
-    return cache.get_or_build(content_hash(blob),
-                              lambda: InlineDatabase.loads(blob))

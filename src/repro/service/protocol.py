@@ -38,9 +38,9 @@ surface.
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional
 
+from ..driver import CompileRequest, classify_exception
 from ..interp import ENGINES
 from ..obs import schemas
 from ..pipeline import CompilerOptions
@@ -51,9 +51,8 @@ SERVICE_SCHEMA = schemas.SERVICE
 OPTION_FIELDS = tuple(f.name for f in
                       dataclasses.fields(CompilerOptions))
 
-#: Request keys beyond ``options``.
-REQUEST_FIELDS = ("id", "source", "filename", "options", "run",
-                  "engine", "max_steps", "db_sources")
+#: Request keys (the CompileRequest fields).
+REQUEST_FIELDS = tuple(f.name for f in dataclasses.fields(CompileRequest))
 
 
 class ServiceError(Exception):
@@ -75,57 +74,33 @@ def options_from_dict(data: Dict[str, object]) -> CompilerOptions:
     return CompilerOptions(**data)
 
 
-@dataclass
-class CompileRequest:
-    """One compile request, validated and picklable (the form the
-    jobs layer ships to worker processes)."""
-
-    source: str
-    id: object = None
-    filename: str = "<service>"
-    options: CompilerOptions = field(default_factory=CompilerOptions)
-    #: Entry point to simulate on the Titan model (``None`` = compile
-    #: only).
-    run: Optional[str] = None
-    engine: str = "compiled"
-    max_steps: int = 50_000_000
-    #: C sources whose procedures become §7 inline databases for this
-    #: compile (each is cataloged through the level-A cache).
-    db_sources: Tuple[str, ...] = ()
-
-    @classmethod
-    def from_dict(cls, data: object) -> "CompileRequest":
-        if isinstance(data, CompileRequest):
-            return data
-        if not isinstance(data, dict):
-            raise ServiceError(
-                f"request must be an object, not "
-                f"{type(data).__name__}")
-        unknown = sorted(set(data) - set(REQUEST_FIELDS))
-        if unknown:
-            raise ServiceError(
-                f"unknown request field(s): {', '.join(unknown)}")
-        source = data.get("source")
-        if not isinstance(source, str):
-            raise ServiceError("request needs a string 'source'")
-        engine = data.get("engine", "compiled")
-        if engine not in ENGINES:
-            raise ServiceError(
-                f"unknown engine {engine!r}; known: "
-                f"{', '.join(ENGINES)}")
-        db_sources = data.get("db_sources", ())
-        if not all(isinstance(s, str) for s in db_sources):
-            raise ServiceError("db_sources must be source strings")
-        try:
-            options = options_from_dict(data.get("options", {}))
-        except TypeError as exc:  # wrong value type for a field
-            raise ServiceError(f"bad options: {exc}") from None
-        return cls(source=source, id=data.get("id"),
-                   filename=data.get("filename", "<service>"),
-                   options=options, run=data.get("run"),
-                   engine=engine,
-                   max_steps=int(data.get("max_steps", 50_000_000)),
-                   db_sources=tuple(db_sources))
+def request_from_dict(data: object) -> CompileRequest:
+    """Validate one wire request; built requests pass through."""
+    if isinstance(data, CompileRequest):
+        return data
+    if not isinstance(data, dict):
+        raise ServiceError(
+            f"request must be an object, not {type(data).__name__}")
+    unknown = sorted(set(data) - set(REQUEST_FIELDS))
+    if unknown:
+        raise ServiceError(
+            f"unknown request field(s): {', '.join(unknown)}")
+    if not isinstance(data.get("source"), str):
+        raise ServiceError("request needs a string 'source'")
+    engine = data.get("engine", "compiled")
+    if engine not in ENGINES:
+        raise ServiceError(
+            f"unknown engine {engine!r}; known: {', '.join(ENGINES)}")
+    fields = dict(data, db_sources=tuple(data.get("db_sources", ())))
+    if not all(isinstance(s, str) for s in fields["db_sources"]):
+        raise ServiceError("db_sources must be source strings")
+    try:
+        fields["options"] = options_from_dict(data.get("options", {}))
+    except TypeError as exc:  # wrong value type for a field
+        raise ServiceError(f"bad options: {exc}") from None
+    if "max_steps" in data:
+        fields["max_steps"] = int(data["max_steps"])
+    return CompileRequest(**fields)
 
 
 def make_response(request_id: object, status: str,
@@ -145,8 +120,9 @@ def make_response(request_id: object, status: str,
 
 
 def error_response(request_id: object, exc: BaseException,
-                   phase: str, kind: str,
+                   phase: str, kind: Optional[str] = None,
                    cache: Optional[dict] = None) -> dict:
+    kind = kind or classify_exception(exc)
     return make_response(request_id, "error", cache=cache, error={
         "phase": phase, "kind": kind,
         "type": type(exc).__name__, "message": str(exc)})

@@ -27,12 +27,13 @@ from __future__ import annotations
 import os
 from typing import Dict, List, Optional, Sequence
 
+from ..driver import CompileRequest
 from ..jobs import TaskOutcome, WorkerPool
 from ..obs.metrics import MetricsRegistry
 from ..pipeline import CompilerOptions
 from .cache import CatalogCache, LRUCache, build_catalog, content_hash
-from .protocol import (CompileRequest, ServiceError, error_response,
-                       make_response)
+from .protocol import (ServiceError, error_response, make_response,
+                       request_from_dict)
 from .worker import pool_task, request_fingerprint
 
 
@@ -107,7 +108,8 @@ class CompileService:
             outcomes = self.pool.map_ordered(
                 pool_task,
                 [{"request": slot["request"],
-                  "catalogs": slot["catalogs"]} for slot in tasks])
+                  "catalogs": slot["catalogs"],
+                  "il_sha256": slot["key"][0]} for slot in tasks])
             for slot, outcome in zip(tasks, outcomes):
                 self._merge(slot, outcome, responses)
 
@@ -162,7 +164,7 @@ class CompileService:
         request_id = raw.get("id") if isinstance(raw, dict) \
             else getattr(raw, "id", None)
         try:
-            request = CompileRequest.from_dict(raw)
+            request = request_from_dict(raw)
         except ServiceError as exc:
             return {"response": error_response(
                 request_id, exc, phase="request", kind="invalid")}
@@ -183,11 +185,9 @@ class CompileService:
                 "miss" if self.catalogs.builds > builds_before \
                 else "hit"
         except Exception as exc:
-            from ..fuzz.harness import classify_exception
             cache_meta["catalog"] = "miss"
             return {"response": error_response(
-                request_id, exc, phase="frontend",
-                kind=classify_exception(exc), cache=cache_meta)}
+                request_id, exc, phase="frontend", cache=cache_meta)}
 
         # §7 catalogs for the request's inline databases.
         catalogs: Dict[str, object] = {}
@@ -199,10 +199,8 @@ class CompileService:
                 catalogs[sha] = self.catalogs.get_or_build(
                     sha, lambda src=db_source: build_catalog(src))
         except Exception as exc:
-            from ..fuzz.harness import classify_exception
             return {"response": error_response(
-                request_id, exc, phase="catalog",
-                kind=classify_exception(exc), cache=cache_meta)}
+                request_id, exc, phase="catalog", cache=cache_meta)}
 
         fingerprint = request_fingerprint(request, db_shas)
         key = (catalog.il_sha256, fingerprint)

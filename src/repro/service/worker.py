@@ -4,37 +4,29 @@
 jobs-layer contract) that turns one :class:`CompileRequest` into one
 response envelope.  It never lets a per-request failure escape: front
 end diagnostics become ``kind: "reject"`` error responses, anything
-else escaping the compiler becomes ``kind: "crash"`` (the fuzz
-harness's classification), and the pool lives on either way.
+else escaping the compiler becomes ``kind: "crash"`` (the driver's
+classification), and the pool lives on either way.
 
-The compile itself mirrors ``TitanCompiler.compile`` exactly — same
-tracer spans, same spans' args — but runs the front end separately so
-the parsed IL can be hashed (the level-B cache key) before the
-pipeline mutates it in place.  A request payload is therefore
-byte-identical to what the CLI's direct path produces after
-canonicalization, which is what makes artifact-cache hits
-observationally invisible.
+The compile is :func:`repro.driver.compile_request`, the call
+``titancc`` makes, so payload reports equal the CLI's after
+canonicalization and artifact-cache hits are observationally
+invisible.  The payload's IL hash is :func:`~.cache.build_catalog`'s:
+the pool task carries the server's, the direct path computes it.
 """
 
 from __future__ import annotations
 
 import os
-from typing import Dict, Optional
+from typing import Dict, List, Optional, Tuple
 
-from ..frontend.lower import compile_to_il
-from ..il import nodes as N
+from ..driver import CompileRequest, Outcome, compile_request
 from ..il.printer import format_program
 from ..inline.database import InlineDatabase
 from ..interp import make_interpreter
-from ..obs.report import CompilationReport
-from ..obs.trace import PassTracer
-from ..pipeline import TitanCompiler, _program_statements
-from ..titan.config import TitanConfig
-from ..titan.simulator import TitanSimulator
 from .cache import CatalogEntry, build_catalog, content_hash, \
     options_fingerprint
-from .protocol import (CompileRequest, ServiceError, canonicalize_report,
-                       error_response, make_response)
+from .protocol import (ServiceError, canonicalize_report, error_response,
+                       make_response, request_from_dict)
 
 
 def request_fingerprint(request: CompileRequest,
@@ -50,11 +42,6 @@ def request_fingerprint(request: CompileRequest,
         "max_steps": request.max_steps,
         "db": list(db_shas),
     })
-
-
-def _classify(exc: BaseException) -> str:
-    from ..fuzz.harness import classify_exception
-    return classify_exception(exc)
 
 
 def _artifact_section(result, request: CompileRequest) -> dict:
@@ -79,131 +66,87 @@ def _artifact_section(result, request: CompileRequest) -> dict:
     return {"engine": request.engine, "functions": functions}
 
 
-def compile_payload(request: CompileRequest,
-                    catalogs: Optional[Dict[str, CatalogEntry]] = None
-                    ) -> dict:
-    """Compile one request into its deterministic payload.  Raises on
-    failure (callers classify); ``catalogs`` maps content hashes to
-    pre-built §7 catalogs for the request's ``db_sources`` — any
-    missing ones are built here."""
-    catalogs = catalogs or {}
+def _inline_database(request: CompileRequest,
+                     catalogs: Dict[str, CatalogEntry]
+                     ) -> Tuple[Optional[InlineDatabase], List[str]]:
+    """The request's §7 database (``db_sources`` catalogs from
+    ``catalogs`` or built here, merged in order) and their hashes."""
     database = None
     db_shas = []
     for db_source in request.db_sources:
         sha = content_hash(db_source)
         db_shas.append(sha)
-        entry = catalogs.get(sha)
-        if entry is None:
-            try:
-                entry = build_catalog(db_source)
-            except Exception as exc:
-                exc._titancc_phase = "catalog"
-                raise
+        entry = catalogs.get(sha) or build_catalog(db_source)
         if database is None:
             database = InlineDatabase()
         database.entries.update(entry.database().entries)
+    return database, db_shas
 
-    # Front end split out of TitanCompiler.compile (same span, same
-    # args) so the parsed IL is hashable before optimization.  Sids
-    # rewind first: the payload must not depend on what this process
-    # parsed earlier (catalog builds included), so every compile sees
-    # the counter state a fresh ``titancc`` process would.
-    N.reset_sids()
-    tracer = PassTracer()
-    try:
-        with tracer.span("front-end") as args:
-            program = compile_to_il(request.source, request.filename)
-            args["statements"] = _program_statements(program)
-            args["functions"] = len(program.functions)
-    except Exception as exc:
-        # Phase tag for error responses: the server's prepare pass
-        # reports front-end failures as phase="frontend", so the
-        # direct path must classify identically (the transparency
-        # battery diffs the two).
-        exc._titancc_phase = "frontend"
-        raise
-    # Line annotations are part of the hash — see build_catalog.
-    il_sha = content_hash(format_program(program, show_lines=True))
 
-    compiler = TitanCompiler(request.options, database)
-    result = compiler.compile_program(program,
-                                      filename=request.filename,
-                                      tracer=tracer)
-
-    config = TitanConfig(
-        processors=request.options.processors,
-        max_vector_length=request.options.vector_length)
-    titan_report = None
-    run_section = None
-    if request.run:
-        simulator = TitanSimulator(result.program, config,
-                                   schedules=result.schedules or None,
-                                   max_steps=request.max_steps,
-                                   engine=request.engine)
-        titan_report = simulator.run(request.run)
-        run_section = {
-            "entry": request.run,
-            "engine": request.engine,
-            "result": titan_report.result,
-            "cycles": titan_report.cycles,
-            "seconds": titan_report.seconds,
-            "mflops": titan_report.mflops,
-            "stdout": titan_report.stdout,
-        }
-
-    report = CompilationReport.from_result(
-        result, filename=request.filename, titan_report=titan_report,
-        config=config)
-    # No source hash here, deliberately: the payload is a pure
-    # function of (front-end IL, options fingerprint) — per-request
-    # provenance lives in the response envelope's cache metadata, so
-    # whitespace-variant sources sharing an artifact still each see
-    # their own source hash.
+def _payload(request: CompileRequest, outcome: Outcome, il_sha: str,
+             db_shas: List[str]) -> dict:
+    """An ok response's deterministic part: a pure function of
+    (front-end IL, options fingerprint), so no source hash."""
+    run = outcome.titan_report
     return {
         "filename": request.filename,
         "il_sha256": il_sha,
         "options_fingerprint": request_fingerprint(request, db_shas),
         "catalog": {"db_sources": db_shas},
-        "report": canonicalize_report(report.to_dict()),
-        "listing": format_program(result.program),
-        "run": run_section,
-        "artifact": _artifact_section(result, request),
+        "report": canonicalize_report(outcome.report.to_dict()),
+        "listing": format_program(outcome.result.program),
+        "run": None if run is None else {
+            "entry": request.run, "engine": request.engine,
+            **{key: getattr(run, key) for key in
+               ("result", "cycles", "seconds", "mflops", "stdout")}},
+        "artifact": _artifact_section(outcome.result, request),
     }
 
 
-def execute_request(request, catalogs=None, cache=None) -> dict:
+def execute_request(request, catalogs=None, cache=None,
+                    il_sha256: Optional[str] = None) -> dict:
     """The full per-request contract: request (dict or
     :class:`CompileRequest`) in, response envelope out, exceptions
     never.  This is both the in-process direct path (what the
-    transparency tests diff against) and the body of the pool task."""
+    transparency tests diff against) and the body of the pool task,
+    which passes the ``il_sha256`` the server already computed."""
     request_id = request.get("id") if isinstance(request, dict) \
         else getattr(request, "id", None)
     try:
-        request = CompileRequest.from_dict(request)
+        request = request_from_dict(request)
     except ServiceError as exc:
         return error_response(request_id, exc, phase="request",
                               kind="invalid", cache=cache)
     cache = dict(cache) if cache else \
         {"catalog": None, "artifact": None}
     cache.setdefault("source_sha256", content_hash(request.source))
+    # Phases in the server's prepare order: main source, then databases.
+    if il_sha256 is None:
+        try:
+            il_sha256 = build_catalog(request.source,
+                                      request.filename).il_sha256
+        except Exception as exc:  # noqa: BLE001 — classified
+            return error_response(request.id, exc, "frontend",
+                                  cache=cache)
     try:
-        payload = compile_payload(request, catalogs)
-    except ServiceError as exc:
-        return error_response(request.id, exc, phase="request",
-                              kind="invalid", cache=cache)
-    except Exception as exc:
-        phase = getattr(exc, "_titancc_phase", "compile")
-        return error_response(request.id, exc, phase=phase,
-                              kind=_classify(exc), cache=cache)
-    return make_response(request.id, "ok", payload=payload,
-                         cache=cache)
+        database, db_shas = _inline_database(request, catalogs or {})
+    except Exception as exc:  # noqa: BLE001
+        return error_response(request.id, exc, "catalog", cache=cache)
+    outcome = compile_request(request, database)
+    if outcome.error is not None:
+        phase, kind, exc = outcome.error
+        return error_response(request.id, exc, phase, kind, cache)
+    return make_response(request.id, "ok", cache=cache,
+                         payload=_payload(request, outcome, il_sha256,
+                                          db_shas))
 
 
 def pool_task(task: dict) -> dict:
     """Jobs-layer entry point: ``{"request": CompileRequest,
-    "catalogs": {sha: CatalogEntry}}`` in, response plus a private
-    ``_worker`` stamp (stripped by the server) out."""
+    "catalogs": {sha: CatalogEntry}, "il_sha256": str}`` in, response
+    plus a private ``_worker`` stamp (stripped by the server) out."""
     response = execute_request(task["request"],
-                               catalogs=task.get("catalogs"))
+                               catalogs=task.get("catalogs"),
+                               il_sha256=task.get("il_sha256"))
     response["_worker"] = {"pid": os.getpid()}
     return response

@@ -2,7 +2,7 @@
 dominators, liveness."""
 
 from repro.analysis.dominance import Dominators
-from repro.analysis.flowgraph import FlowGraph, MEMORY
+from repro.analysis.flowgraph import FlowGraph, FlowNode, MEMORY, node_uses
 from repro.analysis.liveness import Liveness
 from repro.analysis.usedef import UseDefChains, build_chains
 from repro.frontend.lower import compile_to_il
@@ -230,3 +230,14 @@ class TestLiveness:
                    and isinstance(n.stmt.target, N.VarRef)
                    and n.stmt.target.sym == n_sym]
         assert assigns and live.is_live_after(assigns[-1], n_sym)
+
+    def test_vector_mask_is_read(self):
+        # A masked store reads its mask: a def that only the mask
+        # (the ``where``) reads must stay live.
+        program, fn, _ = graph_of("void f(int c, int n) { }")
+        c, n = fn.params
+        section = N.Section(addr=N.Const(value=0), length=N.VarRef(sym=n))
+        stmt = N.VectorAssign(target=section, value=N.Const(value=1),
+                              mask=N.VarRef(sym=c))
+        uses = node_uses(FlowNode(kind="assign", stmt=stmt))
+        assert c in uses and n in uses

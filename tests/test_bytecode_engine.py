@@ -19,7 +19,6 @@ from repro.interp import (BytecodeInterpreter, ENGINES,
                           InterpreterError, StepLimitExceeded,
                           make_interpreter)
 from repro.interp.bytecode import _CACHE_ATTR, _CodegenEntry
-from repro.obs.metrics import REGISTRY
 from repro.pipeline import CompilerOptions, compile_c
 
 
@@ -32,11 +31,6 @@ def _all(source, entry="main", args=(), **kwargs):
         interp = make_interpreter(program, engine=engine, **kwargs)
         out[engine] = (interp, interp.run(entry, *args))
     return out
-
-
-def _cache_value(outcome):
-    return REGISTRY.value("titancc_engine_codegen_cache_total",
-                          {"engine": "bytecode", "outcome": outcome})
 
 
 class TestFactory:
@@ -231,17 +225,14 @@ class TestCodegenCache:
         fn = program.functions["main"]
         if hasattr(fn, _CACHE_ATTR):
             delattr(fn, _CACHE_ATTR)
-        misses, hits = _cache_value("miss"), _cache_value("hit")
         first = make_interpreter(program, engine="bytecode")
         assert first.run("main") == 42
-        assert _cache_value("miss") == misses + 1
-        assert _cache_value("hit") == hits
+        assert (first.codegen_hits, first.codegen_misses) == (0, 1)
         # A second engine instance reuses the generated code object
         # hung on the ILFunction: hit, no second codegen.
         second = make_interpreter(program, engine="bytecode")
         assert second.run("main") == 42
-        assert _cache_value("hit") == hits + 1
-        assert _cache_value("miss") == misses + 1
+        assert (second.codegen_hits, second.codegen_misses) == (1, 0)
 
     def test_invalidate_graphs_clears_cache(self):
         src = "int main(void) { return 7; }"

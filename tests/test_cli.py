@@ -1,11 +1,17 @@
 """Tests for the titancc command-line driver."""
 
+import json
 import os
+import subprocess
+import sys
 
 import pytest
 
 from repro.cli import main
+from repro.pipeline import TitanCompiler
 from repro.workloads import blas
+
+SRC_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "src")
 
 
 @pytest.fixture
@@ -72,43 +78,6 @@ class TestCLI:
         out = capsys.readouterr().out
         assert "/* vector */" in out  # inlined + vectorized
 
-    def test_use_db_builds_catalog_once_per_content(self, tmp_path,
-                                                    capsys):
-        # Regression: --use-db used to rebuild its procedure catalog
-        # on every invocation.  It now routes through the process-
-        # global content-addressed catalog cache, so driving main() in
-        # a loop unpickles each distinct database exactly once.
-        from repro.service.cache import GLOBAL_CATALOGS
-        lib = tmp_path / "lib.c"
-        lib.write_text(blas.MATH_LIBRARY_C)
-        db_path = str(tmp_path / "lib.ildb")
-        assert main([str(lib), "--make-db", db_path]) == 0
-        client = tmp_path / "client.c"
-        client.write_text(blas.library_client(n=32))
-        capsys.readouterr()
-
-        GLOBAL_CATALOGS.clear()
-        try:
-            assert main([str(client), "--use-db", db_path]) == 0
-            first = capsys.readouterr().out
-            assert GLOBAL_CATALOGS.builds == 1
-            assert main([str(client), "--use-db", db_path]) == 0
-            second = capsys.readouterr().out
-            assert GLOBAL_CATALOGS.builds == 1  # cached, not rebuilt
-            assert GLOBAL_CATALOGS.lru.hits == 1
-            assert first == second
-            assert "/* vector */" in first
-            # A byte-identical copy at another path is the same key.
-            copy_path = str(tmp_path / "copy.ildb")
-            with open(db_path, "rb") as src_handle:
-                blob = src_handle.read()
-            with open(copy_path, "wb") as dst_handle:
-                dst_handle.write(blob)
-            assert main([str(client), "--use-db", copy_path]) == 0
-            assert GLOBAL_CATALOGS.builds == 1
-        finally:
-            GLOBAL_CATALOGS.clear()
-
     def test_fortran_pointers_flag(self, tmp_path, capsys):
         src = tmp_path / "ptr.c"
         src.write_text("""
@@ -156,3 +125,70 @@ class TestEngineFlags:
         assert main([daxpy_file, "--dump-code", "nope"]) == 1
         err = capsys.readouterr().err
         assert "no function named 'nope'" in err
+
+
+class TestDiagnostics:
+    """A rejected input is one ``titancc: error:`` line and exit 1; an
+    internal error keeps its traceback."""
+
+    @pytest.fixture
+    def bad_file(self, tmp_path):
+        path = tmp_path / "bad.c"
+        path.write_text("int main(void)\n{\n    int a;\n"
+                        "    a = 1 +;\n    return a;\n}\n")
+        return str(path)
+
+    def test_rejection_is_one_line(self, bad_file):
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro.cli", bad_file],
+            capture_output=True, text=True,
+            env=dict(os.environ, PYTHONPATH=SRC_DIR))
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr == \
+            f"titancc: error: {bad_file}:4:12: unexpected token ';'\n"
+
+    def test_make_db_rejection_is_one_line(self, bad_file, tmp_path,
+                                           capsys):
+        db_path = str(tmp_path / "bad.ildb")
+        assert main([bad_file, "--make-db", db_path]) == 1
+        assert capsys.readouterr().err.startswith("titancc: error: ")
+        assert not os.path.exists(db_path)
+
+    def test_deep_nesting_is_rejected(self, tmp_path, capsys):
+        path = tmp_path / "deep.c"
+        path.write_text("int main(void){ return %s1%s; }\n"
+                        % ("(" * 4000, ")" * 4000))
+        assert main([str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"titancc: error: {path}:1:")
+        assert err.endswith(": nesting too deep\n")
+
+    def test_crash_keeps_traceback(self, daxpy_file, monkeypatch):
+        def planted(*args, **kwargs):
+            raise RuntimeError("planted crash")
+
+        monkeypatch.setattr(TitanCompiler, "compile_program", planted)
+        with pytest.raises(RuntimeError, match="planted crash"):
+            main([daxpy_file])
+
+
+class TestDeterminism:
+    def test_report_independent_of_hash_seed(self, tmp_path):
+        # Dependence edges once followed the iteration order of a
+        # frozenset of direction strings, which changes with the
+        # interpreter's hash seed.
+        from repro.fuzz.generator import generate_program
+        from repro.service.protocol import canonicalize_report
+        path = tmp_path / "gen.c"
+        path.write_text(generate_program(443094727).source)
+        reports = []
+        for hash_seed in ("0", "1"):
+            proc = subprocess.run(
+                [sys.executable, "-m", "repro.cli", str(path),
+                 "--report-json", "-"],
+                capture_output=True, text=True, check=True,
+                env=dict(os.environ, PYTHONPATH=SRC_DIR,
+                         PYTHONHASHSEED=hash_seed))
+            reports.append(canonicalize_report(json.loads(proc.stdout)))
+        assert reports[0] == reports[1]

@@ -124,12 +124,35 @@ class TestClassification:
         assert {"LexError", "ParseError", "LoweringError"} <= names
 
 
+class TestMaskedStoreLiveness:
+    """Generated programs whose optimized builds read a variable that
+    final dead-code elimination deleted: liveness ignored the mask of
+    a masked vector store, the only reader of the deleted def."""
+
+    @pytest.mark.parametrize("seed, options", [
+        (2258466918, GeneratorOptions()),
+        (659949134, GeneratorOptions(min_blocks=6, max_blocks=9)),
+        (364237309, GeneratorOptions(min_blocks=6, max_blocks=9)),
+    ])
+    def test_all_engines_agree(self, seed, options):
+        program = generate_program(seed, options)
+        result = run_source(program.source, name=f"seed{seed}",
+                            engine="all", bisect_failures=False)
+        assert result.status == "ok", result.to_dict()
+
+
 class TestRunSource:
     def test_rejection_is_whole_program(self):
         result = run_source('char *s = "\\x";\nint main(void) '
                             '{ return 0; }\n')
         assert result.status == "reject"
         assert not result.failed
+
+    def test_deep_nesting_is_rejected(self):
+        result = run_source("int main(void){ return %s1%s; }\n"
+                            % ("(" * 4000, ")" * 4000))
+        assert result.status == "reject"
+        assert "nesting too deep" in result.reference.error
 
     def test_ok_program_has_variant_values(self):
         result = run_source("int main(void) { return 41 + 1; }\n")

@@ -364,15 +364,15 @@ class TestCLIObservability:
 
     def test_vector_length_reaches_simulator(self, prog_file,
                                              monkeypatch):
-        import repro.cli as cli
+        import repro.driver as driver
         seen = {}
-        real = cli.TitanSimulator
+        real = driver.TitanSimulator
 
         def spy(program, config=None, **kwargs):
             seen["config"] = config
             return real(program, config, **kwargs)
 
-        monkeypatch.setattr(cli, "TitanSimulator", spy)
+        monkeypatch.setattr(driver, "TitanSimulator", spy)
         assert main([prog_file, "--run", "main",
                      "--vector-length", "8"]) == 0
         assert seen["config"].max_vector_length == 8

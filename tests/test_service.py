@@ -14,10 +14,10 @@ import sys
 
 import pytest
 
-from repro.pipeline import CompilerOptions
+from repro.pipeline import CompilerOptions, TitanCompiler
 from repro.service import (CompileRequest, CompileService, ServiceError,
                            content_hash, execute_request)
-from repro.service.protocol import options_from_dict
+from repro.service.protocol import options_from_dict, request_from_dict
 from repro.service.worker import request_fingerprint
 from repro.workloads import blas
 
@@ -48,15 +48,15 @@ def service():
 class TestProtocolValidation:
     def test_unknown_request_field_rejected(self):
         with pytest.raises(ServiceError, match="sauce"):
-            CompileRequest.from_dict({"source": "", "sauce": 1})
+            request_from_dict({"source": "", "sauce": 1})
 
     def test_source_must_be_string(self):
         with pytest.raises(ServiceError, match="source"):
-            CompileRequest.from_dict({"source": 42})
+            request_from_dict({"source": 42})
 
     def test_unknown_engine_rejected(self):
         with pytest.raises(ServiceError, match="warp"):
-            CompileRequest.from_dict({"source": "", "engine": "warp"})
+            request_from_dict({"source": "", "engine": "warp"})
 
     def test_unknown_option_rejected(self):
         with pytest.raises(ServiceError, match="vectorise"):
@@ -64,12 +64,12 @@ class TestProtocolValidation:
 
     def test_non_object_options_rejected(self):
         with pytest.raises(ServiceError, match="must be an object"):
-            CompileRequest.from_dict(
+            request_from_dict(
                 {"source": "", "options": ["--fast"]})
 
 
     def test_options_round_trip(self):
-        request = CompileRequest.from_dict(
+        request = request_from_dict(
             {"source": "", "options": {"vectorize": False,
                                        "processors": 4}})
         assert request.options == CompilerOptions(vectorize=False,
@@ -120,12 +120,25 @@ class TestClientAPI:
         assert response["error"]["phase"] == "frontend"
         assert response["error"]["kind"] == "reject"
 
-    def test_crash_classified(self, service):
+    def test_crash_classified(self, service, monkeypatch):
+        def planted(*args, **kwargs):
+            raise RuntimeError("planted crash")
+
+        monkeypatch.setattr(TitanCompiler, "compile_program", planted)
+        response = service.submit({"source": DAXPY})
+        assert response["status"] == "error"
+        assert response["error"]["phase"] == "compile"
+        assert response["error"]["kind"] == "crash"
+        assert response["error"]["message"] == "planted crash"
+
+    def test_deep_nesting_rejected(self, service):
         deep = "int main(void){ return %s1%s; }" \
             % ("(" * 4000, ")" * 4000)
         response = service.submit({"source": deep})
         assert response["status"] == "error"
-        assert response["error"]["kind"] == "crash"
+        assert response["error"]["phase"] == "frontend"
+        assert response["error"]["kind"] == "reject"
+        assert "nesting too deep" in response["error"]["message"]
 
     def test_errors_are_not_cached(self, service):
         bad = {"source": "int main( {"}

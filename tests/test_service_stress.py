@@ -22,9 +22,9 @@ import pytest
 from repro.service import CompileService, execute_request
 from tests.test_fuzz import corpus_files, read_corpus
 
-#: ~sys.getrecursionlimit() nested parens: the front end recurses per
-#: level, so this raises RecursionError — a classified "crash", the
-#: worst-behaved input a worker must survive.
+#: Far deeper than Python's recursion limit: the parser recurses per
+#: level until RecursionError unwinds it and it rejects the program as
+#: nesting too deep — the worst-behaved input a worker must survive.
 CRASHER = "int main(void){ return %s1%s; }" % ("(" * 4000, ")" * 4000)
 
 GOOD = """
