@@ -24,8 +24,12 @@ from ..frontend.symtab import Symbol
 from ..il import nodes as N
 
 
-@dataclass
+@dataclass(eq=False)
 class FlowNode:
+    """One flow event.  Nodes compare and hash by identity; ``index`` is
+    the node's position in :attr:`FlowGraph.nodes`, which the dataflow
+    solvers use to keep their per-node facts in plain lists."""
+
     kind: str
     stmt: Optional[N.Stmt] = None
     index: int = -1
@@ -34,12 +38,6 @@ class FlowNode:
     # For cond/do_cond nodes: semantic successors by branch outcome.
     true_succ: Optional["FlowNode"] = None
     false_succ: Optional["FlowNode"] = None
-
-    def __hash__(self) -> int:
-        return id(self)
-
-    def __eq__(self, other) -> bool:
-        return self is other
 
     def __repr__(self) -> str:
         sid = self.stmt.sid if self.stmt is not None else "-"

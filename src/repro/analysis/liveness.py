@@ -7,75 +7,78 @@ expression has no observable effect (no call, no volatile access).
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Sequence, Set
+from typing import Dict, Iterable, List, Sequence, Set
 
 from ..frontend.symtab import Symbol
 from ..il import nodes as N
 from .flowgraph import (FlowGraph, FlowNode, MEMORY, aliased_symbols,
-                        node_defs, node_uses)
+                        node_uses)
 
 
 class Liveness:
+    """Locations live after each flow node.
+
+    Each location (a symbol, or MEMORY) owns one bit, and the live-out
+    set of ``graph.nodes[i]`` is the int bitmask ``_after[i]``, so a
+    transfer is a couple of integer operations and a query is a bit
+    test.
+    """
+
     def __init__(self, graph: FlowGraph,
                  globals_: Sequence[N.GlobalVar] = ()):
         self.graph = graph
         self.aliased = aliased_symbols(graph.fn, globals_)
-        self.live_out: Dict[FlowNode, FrozenSet[object]] = {}
-        self.live_in: Dict[FlowNode, FrozenSet[object]] = {}
+        self._bit: Dict[object, int] = {}
+        self._after: List[int] = []
         self._solve()
+
+    def _mask(self, locations: Iterable[object]) -> int:
+        bits = self._bit
+        mask = 0
+        for loc in locations:
+            bit = bits.get(loc)
+            if bit is None:
+                bit = bits[loc] = 1 << len(bits)
+            mask |= bit
+        return mask
 
     def _solve(self) -> None:
         nodes = self.graph.nodes
-        uses: Dict[FlowNode, Set[object]] = {}
-        defs: Dict[FlowNode, Set[object]] = {}
-        for node in nodes:
-            uses[node] = node_uses(node, self.aliased)
-            defs[node] = node_defs(node, self.graph.fn, self.aliased)
+        uses = [self._mask(node_uses(node, self.aliased)) for node in nodes]
+        # Only *must*-defs kill liveness.  A call's may-defs (every
+        # aliased symbol) must not make an earlier store look dead — the
+        # callee might not write the symbol at all (fuzz find: `g = g -
+        # 6; r = h(x); use g` lost the store to g).
+        kills = [self._mask(_must_defs(node)) for node in nodes]
+        succs = [[succ.index for succ in node.succs] for node in nodes]
         # At exit, globals, aliased locals, params of pointer type (the
         # caller can see what they point at) and MEMORY remain live.
-        exit_live: Set[object] = {MEMORY}
-        exit_live.update(self.aliased)
-        live_out: Dict[FlowNode, FrozenSet[object]] = {
-            node: frozenset() for node in nodes}
-        live_in: Dict[FlowNode, FrozenSet[object]] = {
-            node: frozenset() for node in nodes}
-        live_out[self.graph.exit] = frozenset(exit_live)
+        exit_index = self.graph.exit.index
+        exit_live = self._mask([MEMORY, *self.aliased])
+        after = [0] * len(nodes)
+        before = [0] * len(nodes)
+        after[exit_index] = exit_live
+        order = range(len(nodes) - 1, -1, -1)
         changed = True
         while changed:
             changed = False
-            for node in reversed(nodes):
-                if node is self.graph.exit:
-                    out: FrozenSet[object] = live_out[node]
+            for i in order:
+                if i == exit_index:
+                    out = exit_live
                 else:
-                    out = frozenset().union(
-                        *(live_in[s] for s in node.succs)) \
-                        if node.succs else frozenset()
-                # Only *must*-defs kill liveness.  A call's may-defs
-                # (every aliased symbol) are in defs[] so DCE knows the
-                # call can write them, but a may-def must not make an
-                # earlier store look dead — the callee might not write
-                # the symbol at all (fuzz find: `g = g - 6; r = h(x);
-                # use g` lost the store to g).
-                strong = _must_defs(node) if _strong(node) else set()
-                new_in = frozenset(uses[node]) | (out - frozenset(strong))
-                if out != live_out[node] or new_in != live_in[node]:
-                    live_out[node] = out
-                    live_in[node] = new_in
+                    out = 0
+                    for succ in succs[i]:
+                        out |= before[succ]
+                new_in = uses[i] | (out & ~kills[i])
+                if out != after[i] or new_in != before[i]:
+                    after[i] = out
+                    before[i] = new_in
                     changed = True
-        self.live_out = live_out
-        self.live_in = live_in
+        self._after = after
 
     def is_live_after(self, node: FlowNode, sym: Symbol) -> bool:
-        return sym in self.live_out.get(node, frozenset())
-
-
-def _strong(node: FlowNode) -> bool:
-    stmt = node.stmt
-    if node.kind in ("do_init", "do_step"):
-        return True
-    if node.kind == "assign" and isinstance(stmt, N.Assign):
-        return isinstance(stmt.target, N.VarRef)
-    return False
+        bit = self._bit.get(sym)
+        return bit is not None and bool(self._after[node.index] & bit)
 
 
 def _must_defs(node: FlowNode) -> Set[Symbol]:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ..frontend.symtab import Symbol
 from ..il import nodes as N
@@ -34,22 +34,20 @@ class Definition:
 
 
 class UseDefChains:
-    """Reaching-definition sets per flow node, queryable per use."""
+    """Reaching-definition sets per flow node, queryable per use.
+
+    Per-node facts live in lists indexed by ``node.index``.
+    """
 
     def __init__(self, graph: FlowGraph,
                  globals_: Sequence[N.GlobalVar] = ()):
         self.graph = graph
         self.fn = graph.fn
         self.aliased = aliased_symbols(graph.fn, globals_)
-        self._defs_at: Dict[FlowNode, Set[object]] = {}
-        self._uses_at: Dict[FlowNode, Set[object]] = {}
-        for node in graph.nodes:
-            self._defs_at[node] = node_defs(node, graph.fn, self.aliased)
-            self._uses_at[node] = node_uses(node, self.aliased)
-        self._reaching_in: Optional[Dict[FlowNode, FrozenSet[Definition]]] \
-            = None
-        self._reaching_out: Optional[Dict[FlowNode, FrozenSet[Definition]]] \
-            = None
+        self._defs_at: List[Set[object]] = [
+            node_defs(node, graph.fn, self.aliased) for node in graph.nodes]
+        self._uses_at: List[Set[object]] = [
+            node_uses(node, self.aliased) for node in graph.nodes]
         self._solve()
 
     # -- dataflow ----------------------------------------------------------
@@ -63,71 +61,50 @@ class UseDefChains:
         # in practice.
         nodes = self.graph.nodes
         all_defs: List[Definition] = []
-        gen_mask: Dict[FlowNode, int] = {}
+        gen: List[int] = []
         defs_by_loc: Dict[object, int] = defaultdict(int)
-        for node in nodes:
+        for node, locs in zip(nodes, self._defs_at):
             mask = 0
-            for loc in self._defs_at[node]:
+            for loc in locs:
                 bit = 1 << len(all_defs)
                 all_defs.append(Definition(node, loc))
                 defs_by_loc[loc] |= bit
                 mask |= bit
-            gen_mask[node] = mask
-        kill_mask: Dict[FlowNode, int] = {}
-        for node in nodes:
-            kill = 0
+            gen.append(mask)
+        kill: List[int] = []
+        for node, locs in zip(nodes, self._defs_at):
+            mask = 0
             if _is_strong_def(node):
                 # A definite scalar assignment kills prior defs of that
                 # scalar; MEMORY and aliased defs accumulate (may-defs).
-                for loc in self._defs_at[node]:
+                for loc in locs:
                     if loc is not MEMORY and loc not in self.aliased:
-                        kill |= defs_by_loc[loc]
-            kill_mask[node] = kill
-        out: Dict[FlowNode, int] = {node: 0 for node in nodes}
-        in_: Dict[FlowNode, int] = {node: 0 for node in nodes}
-        worklist = list(nodes)
+                        mask |= defs_by_loc[loc]
+            kill.append(mask)
+        preds = [[pred.index for pred in node.preds] for node in nodes]
+        succs = [[succ.index for succ in node.succs] for node in nodes]
+        out = [0] * len(nodes)
+        in_ = [0] * len(nodes)
+        worklist = list(range(len(nodes)))
         while worklist:
-            node = worklist.pop()
+            i = worklist.pop()
             new_in = 0
-            for p in node.preds:
-                new_in |= out[p]
-            new_out = gen_mask[node] | (new_in & ~kill_mask[node])
-            if new_in != in_[node] or new_out != out[node]:
-                in_[node] = new_in
-                out[node] = new_out
-                worklist.extend(node.succs)
+            for pred in preds[i]:
+                new_in |= out[pred]
+            new_out = gen[i] | (new_in & ~kill[i])
+            if new_in != in_[i] or new_out != out[i]:
+                in_[i] = new_in
+                out[i] = new_out
+                worklist.extend(succs[i])
         self._all_defs = all_defs
         self._defs_by_loc = defs_by_loc
         self._in_mask = in_
-        self._out_mask = out
-
-    def _expand(self, mask: int) -> FrozenSet[Definition]:
-        defs = []
-        while mask:
-            low = mask & -mask
-            defs.append(self._all_defs[low.bit_length() - 1])
-            mask ^= low
-        return frozenset(defs)
-
-    @property
-    def reaching_in(self) -> Dict[FlowNode, FrozenSet[Definition]]:
-        if self._reaching_in is None:
-            self._reaching_in = {node: self._expand(mask)
-                                 for node, mask in self._in_mask.items()}
-        return self._reaching_in
-
-    @property
-    def reaching_out(self) -> Dict[FlowNode, FrozenSet[Definition]]:
-        if self._reaching_out is None:
-            self._reaching_out = {node: self._expand(mask)
-                                  for node, mask in self._out_mask.items()}
-        return self._reaching_out
 
     # -- queries -----------------------------------------------------------
 
     def defs_reaching(self, node: FlowNode,
                       location: object) -> List[Definition]:
-        mask = self._in_mask.get(node, 0) \
+        mask = self._in_mask[node.index] \
             & self._defs_by_loc.get(location, 0)
         defs = []
         while mask:
@@ -146,21 +123,10 @@ class UseDefChains:
         return None
 
     def uses_of(self, node: FlowNode) -> Set[object]:
-        return self._uses_at[node]
+        return self._uses_at[node.index]
 
     def defs_of(self, node: FlowNode) -> Set[object]:
-        return self._defs_at[node]
-
-    def def_use_map(self) -> Dict[FlowNode, List[FlowNode]]:
-        """Invert the chains: for each defining node, the nodes that may
-        use one of its definitions."""
-        result: Dict[FlowNode, List[FlowNode]] = defaultdict(list)
-        for node in self.graph.nodes:
-            for loc in self._uses_at[node]:
-                for d in self.defs_reaching(node, loc):
-                    if node not in result[d.node]:
-                        result[d.node].append(node)
-        return result
+        return self._defs_at[node.index]
 
 
 def _is_strong_def(node: FlowNode) -> bool:

@@ -85,10 +85,14 @@ class Lowerer:
             if isinstance(item, A.FuncDef):
                 self._declare_global(item.name, item.ctype, EXTERN)
         for item in unit.items:
-            if isinstance(item, A.FuncDef):
-                self._lower_function(item)
-            elif isinstance(item, A.Decl):
-                self._lower_global_decl(item)
+            try:
+                if isinstance(item, A.FuncDef):
+                    self._lower_function(item)
+                elif isinstance(item, A.Decl):
+                    self._lower_global_decl(item)
+            except RecursionError:  # one Python frame per nesting level
+                raise LoweringError("nesting too deep", item.coord) \
+                    from None
         return N.ILProgram(functions=self.functions, globals=self.globals,
                            symtab=self.symtab)
 

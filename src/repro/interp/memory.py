@@ -10,6 +10,7 @@ actually use (section 1).
 
 from __future__ import annotations
 
+import mmap
 import struct
 from typing import Dict, Optional, Union
 
@@ -34,11 +35,14 @@ class Memory:
     """Flat byte-addressable memory with a bump allocator.
 
     Address 0 is reserved (NULL); allocation starts at 16 so null-pointer
-    dereferences fault.
+    dereferences fault.  The bytes live in an anonymous private mapping,
+    which reads as zeros and costs resident memory only for the pages a
+    program touches; a dropped simulation whose engine waits for a
+    cyclic-GC pass therefore holds little more than what it wrote.
     """
 
     def __init__(self, size: int = 1 << 22):
-        self.data = bytearray(size)
+        self.data = mmap.mmap(-1, size, flags=mmap.MAP_PRIVATE)
         self._brk = 16
         self._heap_brk = size  # malloc grows downward from the top
         self.base_of: Dict[Symbol, int] = {}

@@ -21,7 +21,7 @@ PASS_NAME = "deadcode"
 PASS_DESCRIPTION = "dead-code elimination (section 8)"
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Set
+from typing import Dict, List, Optional, Sequence
 
 from ..analysis.flowgraph import FlowGraph
 from ..analysis.liveness import Liveness
@@ -38,28 +38,49 @@ class DCEStats:
     iterations: int = 0
 
 
+class _LiveCache:
+    """Liveness (and its flow graph) of one function, reused until a
+    sub-step reports that it mutated the function."""
+
+    def __init__(self, fn: N.ILFunction,
+                 globals_: Sequence[N.GlobalVar]):
+        self.fn = fn
+        self.globals_ = globals_
+        self._liveness: Optional[Liveness] = None
+
+    def get(self) -> Liveness:
+        if self._liveness is None:
+            self._liveness = Liveness(FlowGraph(self.fn), self.globals_)
+        return self._liveness
+
+    def note(self, changed: bool) -> bool:
+        """Drop the analyses if ``changed``; pass ``changed`` through."""
+        if changed:
+            self._liveness = None
+        return changed
+
+
 def eliminate_dead_code(fn: N.ILFunction,
                         globals_: Sequence[N.GlobalVar] = ()) -> DCEStats:
     stats = DCEStats()
+    cache = _LiveCache(fn, globals_)
     while True:
         stats.iterations += 1
-        changed = _prune_unreachable_tails(fn.body, stats)
-        changed |= _remove_dead_assigns(fn, globals_, stats)
-        changed |= _remove_dead_labels(fn, stats)
-        changed |= _remove_empty_ifs(fn.body, stats)
-        changed |= _remove_empty_do_loops(fn, globals_, stats)
+        changed = cache.note(_prune_unreachable_tails(fn.body, stats))
+        changed |= cache.note(_remove_dead_assigns(fn, cache.get(), stats))
+        changed |= cache.note(_remove_dead_labels(fn, stats))
+        changed |= cache.note(_remove_empty_ifs(fn.body, stats))
+        changed |= cache.note(_remove_empty_do_loops(fn, cache.get(),
+                                                     stats))
         if not changed or stats.iterations > 50:
             return stats
 
 
-def _remove_dead_assigns(fn: N.ILFunction,
-                         globals_: Sequence[N.GlobalVar],
+def _remove_dead_assigns(fn: N.ILFunction, liveness: Liveness,
                          stats: DCEStats) -> bool:
-    graph = FlowGraph(fn)
-    liveness = Liveness(graph, globals_)
     owners = _owner_map(fn.body)
     changed = False
-    for node in graph.nodes:
+    for node in liveness.graph.nodes:
         if node.kind != "assign" or not isinstance(node.stmt, N.Assign):
             continue
         stmt = node.stmt
@@ -111,16 +132,13 @@ def _remove_empty_ifs(stmts: List[N.Stmt], stats: DCEStats) -> bool:
     return changed
 
 
-def _remove_empty_do_loops(fn: N.ILFunction,
-                           globals_: Sequence[N.GlobalVar],
+def _remove_empty_do_loops(fn: N.ILFunction, liveness: Liveness,
                            stats: DCEStats) -> bool:
     """An empty DO loop only sets its variable; if that value is dead,
     the loop goes (bounds are pure by IL construction)."""
-    graph = FlowGraph(fn)
-    liveness = Liveness(graph, globals_)
     owners = _owner_map(fn.body)
     changed = False
-    for node in graph.nodes:
+    for node in liveness.graph.nodes:
         if node.kind != "do_init" or not isinstance(node.stmt, N.DoLoop):
             continue
         loop = node.stmt

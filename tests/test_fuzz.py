@@ -154,6 +154,26 @@ class TestRunSource:
         assert result.status == "reject"
         assert "nesting too deep" in result.reference.error
 
+    @pytest.mark.parametrize("source", [
+        # Parses, then lowering recurses once per term.
+        "int f(int a) { return %s; }\nint main(void) { return f(1); }\n"
+        % "+".join(["a"] * 400),
+        # Lowering fails on the lvalue and its message reprs the AST.
+        "int main(void) { int a; a = 5; return %sa; }\n" % ("--" * 500),
+        "int main(void) { int a; a = 5; return %sa; }\n" % ("--" * 1000),
+    ], ids=["sum400", "predec500", "predec1000"])
+    def test_deep_expression_is_rejected(self, source):
+        result = run_source(source)
+        assert result.status == "reject"
+        assert "nesting too deep" in result.reference.error
+
+    def test_long_sum_still_compiles(self):
+        result = run_source("int f(int a) { return %s; }\n"
+                            "int main(void) { return f(1); }\n"
+                            % "+".join(["a"] * 200))
+        assert result.status == "ok"
+        assert result.reference.value == 200
+
     def test_ok_program_has_variant_values(self):
         result = run_source("int main(void) { return 41 + 1; }\n")
         assert result.status == "ok"

@@ -1,5 +1,9 @@
 """Unit tests for the reference IL interpreter."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 from repro.frontend.lower import compile_to_il
@@ -325,6 +329,30 @@ class TestMemoryModel:
         mem = Memory(64)
         with pytest.raises(MemoryError_):
             mem.load(100, INT)
+
+    def test_untouched_memory_costs_no_resident_pages(self):
+        # Fifty live 4 MiB memories, each written only at its first and
+        # last valid address, must not raise peak RSS by anything near
+        # their 200 MiB of address space.  A fresh process, so the
+        # test suite's own peak does not hide the growth.
+        script = (
+            "import resource\n"
+            "from repro.interp.memory import Memory\n"
+            "from repro.frontend.ctypes_ import INT\n"
+            "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+            "keep = []\n"
+            "for _ in range(50):\n"
+            "    mem = Memory()\n"
+            "    mem.store(8, INT, 1)\n"
+            "    mem.store(len(mem.data) - 4, INT, 2)\n"
+            "    assert mem.load(len(mem.data) - 4, INT) == 2\n"
+            "    keep.append(mem)\n"
+            "after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+            "print(after - before)\n")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        done = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, check=True)
+        assert int(done.stdout) < 16 * 1024  # ru_maxrss is in KiB
 
 
 class TestBuiltinsAndDevices:
