@@ -10,6 +10,10 @@ whole flow graph as native bytecode.  E17 measures what that second
 substitution buys on the two hot ISSUE workloads, and proves the
 codegen tier is *bit-identical* to both other engines on each.
 
+A second row times *simulation* (a TitanSimulator run at O0) on the
+bytecode tier, which counts block executions and prices them in bulk,
+against the closure tier's one cost-model call per event.
+
 Speedup is measured in interpreter steps/sec (all engines execute the
 same dynamic step sequence, so steps/sec ratios equal wall-clock
 ratios with the measurement noise divided out).  Each engine gets one
@@ -125,6 +129,54 @@ def test_e17_bytecode_speedup():
             f">={thresholds[name]:.0f}x", f"{speedup:.2f}x",
             speedup >= thresholds[name]))
     print_table("E17: bytecode codegen engine vs closure tier", rows)
+    assert all(r.ok for r in rows)
+
+
+def _simulate_seconds(program, engine, entry, args, setup):
+    """Best-of-REPS wall time of one TitanSimulator run (construction
+    excluded), after a warm-up that pays the one-time code
+    generation; plus the last report."""
+    best = float("inf")
+    report = None
+    for rep in range(REPS + 1):
+        sim = TitanSimulator(program, TitanConfig(), engine=engine,
+                             max_steps=500_000_000)
+        setup(sim)
+        start = time.perf_counter()
+        report = sim.run(entry, *args)
+        if rep:  # rep 0 is the warm-up
+            best = min(best, time.perf_counter() - start)
+    return best, report
+
+
+def test_e17_simulation_speedup():
+    # Simulation on the bytecode tier counts block executions and
+    # prices them in bulk; the closure tier makes one cost-model call
+    # per event.  Same cycles, counters and breakdown; the gate sits
+    # below the measured ratio (6.8-12.9x backsolve, 7.6-11.4x daxpy
+    # over five runs), at the roadmap's 5x target.
+    threshold = 5.0
+    rows = []
+    for name, source, entry, args, setup, _ in _workloads():
+        program = compile_c(source, O0).program
+        closure, slow = _simulate_seconds(program, "compiled", entry,
+                                          args, setup)
+        counted, fast = _simulate_seconds(program, "bytecode", entry,
+                                          args, setup)
+        assert fast.cycles == slow.cycles, name
+        assert fast.counters == slow.counters, name
+        assert fast.breakdown == slow.breakdown, name
+        speedup = closure / counted
+        record_bench("e17_bytecode", f"{name}_simulate", metrics={
+            "host_closure_simulate_seconds": closure,
+            "host_bytecode_simulate_seconds": counted,
+            "host_bytecode_simulate_speedup": speedup,
+        })
+        rows.append(Row(f"{name} simulate speedup",
+                        f">={threshold:.0f}x", f"{speedup:.2f}x",
+                        speedup >= threshold))
+    print_table("E17: simulation, counted bytecode vs closure tier",
+                rows)
     assert all(r.ok for r in rows)
 
 

@@ -82,10 +82,13 @@ def build_arg_parser() -> argparse.ArgumentParser:
                              "report cycles/MFLOPS")
     parser.add_argument("--engine", choices=ENGINES,
                         default="compiled",
-                        help="execution engine for --run: the "
-                             "closure-compiled fast path (default), "
-                             "the whole-function bytecode codegen "
-                             "tier, or the tree-walking semantic "
+                        help="execution engine for --run, all "
+                             "reporting the same cycles: the "
+                             "closure-compiled tier (default; one "
+                             "cost-model call per event), the "
+                             "whole-function bytecode tier (counts "
+                             "blocks and prices them in bulk; "
+                             "fastest), or the tree-walking semantic "
                              "oracle")
     parser.add_argument("--dump-code", metavar="FN",
                         help="print the bytecode engine's generated "

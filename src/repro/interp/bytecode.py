@@ -28,12 +28,22 @@ generated Python function.
   evaluation order, lazy per-lane ``Select``, cached ``Section`` bases
   and ``Iota`` starts, broadcast scalars) lower to list comprehensions
   plus a tight store loop over a preallocated value list.
-* There is **no** instrumentation in generated code.  When a cost hook
-  is installed (the Titan simulator always installs one) the engine
-  delegates to the closure tier, whose hooked closures emit the
-  oracle's exact event order — so cycle totals, breakdowns, and the
-  profiler's sum-to-total invariant stay bit-identical by
-  construction, and the uninstrumented path is observation-free.
+* Plain generated code has **no** instrumentation, so the hook-free
+  path is observation-free.  Under a
+  :class:`~repro.titan.cost_model.TitanCostModel` without a profiler
+  (the Titan simulator) a second, *counting* flavour is generated: it
+  bumps one integer counter per straight-line region it enters (a
+  block, a loop trip, a lazy ``Select`` arm) and makes one call per
+  vector statement (runtime length) and per parallel-region boundary.
+  The per-region event table (:mod:`repro.interp.events`) says which
+  events each counter stands for; :class:`_CountedRun` prices
+  ``events × count`` through the model's bulk
+  :meth:`~repro.titan.cost_model.TitanCostModel.charge` at every
+  parallel boundary and at the end of the run.  The model sums
+  charges exactly, so cycles, counters and breakdown equal the
+  oracle's event stream bit for bit.  Any other hook, a profiler, or
+  a program with a function that falls back runs on the closure
+  tier, whose hooked closures emit the oracle's exact event order.
 
 Anything the generator cannot prove it can lower exactly — volatile
 symbols (device hooks), aggregate scalar access, lazily-allocated
@@ -62,6 +72,7 @@ from __future__ import annotations
 import dis
 import io
 import math
+import operator
 import struct
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
@@ -74,10 +85,14 @@ from .compiled import (CompiledInterpreter, _CompiledFunction,
                        _fast_round_f32, _is_aggregate, _make_loader,
                        _make_storer, _raise_uninit, _struct_format,
                        _unop_impl)
+from .events import (expr_events, target_events, vector_ops,
+                     write_events)
 from .interpreter import (InterpreterError, Value, _trip_values)
 
-#: Attribute on ILFunction holding the cross-instance codegen cache.
+#: Attributes on ILFunction holding the cross-instance codegen cache,
+#: one per flavour: plain, and counting (for simulation).
 _CACHE_ATTR = "_bytecode_cache"
+_COUNTED_ATTR = "_bytecode_counted_cache"
 
 #: Flow-node kinds with no observable effect beyond their tick.
 _PURE_KINDS = frozenset(("entry", "label", "join", "goto"))
@@ -92,22 +107,48 @@ class _Fallback(Exception):
     closure tier instead; the whole function falls back."""
 
 
+class _CountTable:
+    """The event table of one counting function: what each counter
+    stands for.
+
+    ``regions[i]`` lists the events one bump of counter ``i`` stands
+    for, as ``(kind, detail, loops)`` where ``loops`` holds the sids of
+    the sequential DO loops around the event (inside a scheduled one
+    the event is counted but not charged).  ``("do_iter", sid)`` and
+    ``("do_exit", sid)`` records count iterations and exits of loop
+    ``sid`` for its §6 lump charge.  ``vectors[j]`` describes vector
+    statement ``j``: ``(region of its length>0 scalar work, regions of
+    its cached lane operands, (op, stride) per instruction, reduce
+    op)``.  ``unclean`` holds the DO loops whose static suppression
+    would not be exact if they were scheduled (calls or control flow
+    in the body)."""
+
+    __slots__ = ("regions", "vectors", "unclean")
+
+    def __init__(self, regions, vectors, unclean):
+        self.regions = regions
+        self.vectors = vectors
+        self.unclean = unclean
+
+
 class _CodegenEntry:
     """One function's generated code plus everything needed to rebind
     it to a different engine instance."""
 
-    __slots__ = ("fn", "source", "code", "recipes", "baked", "mem_limit")
+    __slots__ = ("fn", "source", "code", "recipes", "baked", "mem_limit",
+                 "table")
 
     def __init__(self, fn: N.ILFunction, source: str, code,
                  recipes: Dict[str, tuple],
                  baked: Tuple[Tuple[Symbol, int], ...],
-                 mem_limit: int):
+                 mem_limit: int, table: Optional[_CountTable] = None):
         self.fn = fn
         self.source = source
         self.code = code
         self.recipes = recipes
         self.baked = baked
         self.mem_limit = mem_limit
+        self.table = table
 
 
 class _FallbackEntry:
@@ -146,10 +187,17 @@ def _make_arg_check(name: str, nparams: int):
     return fail
 
 
-def _materialize_recipe(engine, recipe: tuple):
+def _materialize_recipe(engine, recipe: tuple, counted=None):
     """Rebuild one bound global of a generated function against a
-    (possibly different) engine instance."""
+    (possibly different) engine instance; ``counted`` holds a counting
+    function's (counts, bump, vec) for this engine."""
     kind = recipe[0]
+    if kind == "counts":
+        return counted[0]
+    if kind == "bump":
+        return counted[1]
+    if kind == "vec":
+        return counted[2]
     if kind == "pure":
         return recipe[1]
     if kind == "data":
@@ -182,6 +230,71 @@ def _ctype_key(ctype: Optional[CType]):
             getattr(ctype, "signed", None))
 
 
+def _loop_contexts(fn: N.ILFunction) -> Dict[int, Tuple[int, ...]]:
+    """id(stmt) -> sids of the DO loops enclosing it: the cost model
+    counts but does not charge events inside a scheduled loop."""
+    out: Dict[int, Tuple[int, ...]] = {}
+
+    def walk(stmts: Sequence[N.Stmt], ctx: Tuple[int, ...]) -> None:
+        for stmt in stmts:
+            out[id(stmt)] = ctx
+            inner = ctx + (stmt.sid,) if isinstance(stmt, N.DoLoop) \
+                else ctx
+            for sub in stmt.substatements():
+                walk(sub, inner)
+
+    walk(fn.body, ())
+    return out
+
+
+def _unclean_loops(fn: N.ILFunction) -> Set[int]:
+    """DO loops whose body is not straight-line call-free assignments.
+    Such a loop, if scheduled, would run callees or goto targets with
+    its charges suppressed, which static counts cannot reproduce (the
+    §6 scheduler never schedules one)."""
+    out: Set[int] = set()
+    for stmt in fn.all_statements():
+        if not isinstance(stmt, N.DoLoop):
+            continue
+        if stmt.parallel or stmt.vector or not all(
+                isinstance(s, N.Assign) for s in stmt.body) or any(
+                isinstance(e, N.CallExpr) for s in stmt.body
+                for top in N.stmt_exprs(s) for e in N.walk_expr(top)):
+            out.add(stmt.sid)
+    return out
+
+
+def _call_graph(program: N.ILProgram) -> Dict[str, Set[str]]:
+    """Function name -> names of the program functions it calls."""
+    graph: Dict[str, Set[str]] = {}
+    for name, fn in program.functions.items():
+        graph[name] = {e.name for stmt in fn.all_statements()
+                       for top in N.stmt_exprs(stmt)
+                       for e in N.walk_expr(top)
+                       if isinstance(e, N.CallExpr)
+                       and e.name in program.functions}
+    return graph
+
+
+def _parallel_functions(program: N.ILProgram,
+                        calls: Dict[str, Set[str]]) -> Set[str]:
+    """Functions that may (transitively) open a parallel region.  A
+    call to one is a parallel boundary: the caller's later events
+    must be priced after the callee's regions fold."""
+    found = {name for name, fn in program.functions.items()
+             if any(isinstance(stmt, N.ListParallelLoop)
+                    or (isinstance(stmt, N.DoLoop) and stmt.parallel)
+                    for stmt in fn.all_statements())}
+    changed = True
+    while changed:
+        changed = False
+        for name, callees in calls.items():
+            if name not in found and callees & found:
+                found.add(name)
+                changed = True
+    return found
+
+
 class _BytecodeFunctionCompiler(_FunctionCompiler):
     """Lowers one ILFunction into a single generated Python function.
 
@@ -192,8 +305,12 @@ class _BytecodeFunctionCompiler(_FunctionCompiler):
     can be re-materialized on another engine instance.
     """
 
-    def __init__(self, engine: "BytecodeInterpreter", fn: N.ILFunction):
+    def __init__(self, engine: "BytecodeInterpreter", fn: N.ILFunction,
+                 counting: bool = False):
         super().__init__(engine, fn)
+        # Generated code never bakes a hook: it is shared by engines
+        # with different hooks (or none).
+        self.hook = None
         self._recipes: Dict[str, tuple] = {}
         self._baked: List[Tuple[Symbol, int]] = []
         self._ncalls = 0
@@ -210,6 +327,97 @@ class _BytecodeFunctionCompiler(_FunctionCompiler):
         self._cse: Dict[tuple, str] = {}
         self._cse_worthy: Set[tuple] = set()
         self._cse_lazy = 0
+        # Counting mode (simulation): generated code bumps one counter
+        # per straight-line region it enters; the event table says
+        # what each counter stands for.  _cur is the open region
+        # (None: the next counted event opens one at that point);
+        # _ctx the enclosing sequential DO loops; _cuts counts
+        # parallel boundaries crossed during generation.
+        self._counting = counting
+        if counting:
+            self._regions: List[List[tuple]] = []
+            self._vectors: List[tuple] = []
+            self._cur: Optional[int] = None
+            self._ctx: Tuple[int, ...] = ()
+            self._cuts = 0
+            self._clean_call: Optional[N.CallExpr] = None
+            self._cache_events: Dict[str, list] = {}
+            self._ctx_of = _loop_contexts(fn)
+            self._par_fns = engine._parallel_functions()
+
+    # -- counting ----------------------------------------------------------
+
+    def _in_memory(self, sym: Symbol) -> bool:
+        return self._binding(sym)[0] != "reg"
+
+    def _events(self, expr: N.Expr) -> list:
+        return expr_events(expr, self._in_memory, [])
+
+    def _new_region(self, events: Sequence = ()) -> int:
+        ctx = self._ctx
+        self._regions.append([(kind, detail, ctx)
+                              for kind, detail in events])
+        return len(self._regions) - 1
+
+    def _count(self, events: Sequence, lines: List[str],
+               ctx: Optional[Tuple[int, ...]] = None) -> None:
+        """Add ``events`` to the open region; with none open, open one
+        here (its bump is the next line of ``lines``)."""
+        if not self._counting or not events:
+            return
+        if self._cur is None:
+            self._cur = self._new_region()
+            lines.append(f"_k[{self._cur}] += 1")
+        ctx = self._ctx if ctx is None else ctx
+        self._regions[self._cur].extend(
+            (kind, detail, ctx) for kind, detail in events)
+
+    def _enter_region(self) -> Tuple[Optional[int], int]:
+        """Start code that runs a different number of times than its
+        surroundings (a loop body, a branch arm); returns the state
+        :meth:`_leave_region` restores."""
+        if not self._counting:
+            return None, 0
+        saved = (self._cur, self._cuts)
+        self._cur = None
+        return saved
+
+    def _leave_region(self, saved: Tuple[Optional[int], int]) -> None:
+        # After a parallel boundary inside, later events need a region
+        # bumped after it.
+        if self._counting:
+            self._cur = saved[0] if self._cuts == saved[1] else None
+
+    def _with_clean_call(self, value: N.Expr, gen, *args):
+        """Generate with ``value`` allowed to be a call to a parallel
+        function: a whole statement's call, whose only later events
+        are the statement's own store."""
+        self._clean_call = value if isinstance(value, N.CallExpr) \
+            else None
+        try:
+            return gen(*args)
+        finally:
+            self._clean_call = None
+
+    def _boundary(self) -> None:
+        """A parallel boundary was crossed: later events must go to a
+        region bumped after it."""
+        self._cuts += 1
+        self._cur = None
+
+    def _cut(self) -> int:
+        """A boundary inside an expression: open the region its
+        wrapper bumps; returns its index."""
+        self._boundary()
+        self._cur = self._new_region()
+        return self._cur
+
+    def _node_ctx(self, node: FlowNode) -> Tuple[int, ...]:
+        stmt = node.stmt
+        ctx = self._ctx_of.get(id(stmt), ()) if stmt is not None else ()
+        if node.kind in ("do_cond", "do_step"):
+            ctx += (stmt.sid,)
+        return ctx
 
     # -- environment bindings ----------------------------------------------
 
@@ -445,7 +653,7 @@ class _BytecodeFunctionCompiler(_FunctionCompiler):
             if ok is None:
                 return None
             return ("t", _ctype_key(expr.ctype), ok)
-        if isinstance(expr, N.Select):
+        if isinstance(expr, N.Select) and not self._counting:
             ck = self._cse_key(expr.cond)
             tk = self._cse_key(expr.then) if ck is not None else None
             ok = self._cse_key(expr.otherwise) if tk is not None \
@@ -527,10 +735,18 @@ class _BytecodeFunctionCompiler(_FunctionCompiler):
             raise _Fallback("address of lazily-allocated symbol")
         if isinstance(expr, N.CallExpr):
             self._ncalls += 1
+            boundary = self._counting and expr.name in self._par_fns
+            if boundary:
+                if expr is not self._clean_call:
+                    raise _Fallback("call to a parallel function "
+                                    "inside an expression")
+                self._clean_call = None
             helper = self._bind_recipe(
                 env, _make_call_helper(self.engine, expr.name),
                 ("call", expr.name))
             args = ", ".join(f"({self._gen(a, env)})" for a in expr.args)
+            if boundary:
+                return f"_kb({helper}({args}), {self._cut()})"
             return f"{helper}({args})"
         if isinstance(expr, (N.Section, N.Iota)):
             raise _Fallback("vector expression in scalar context")
@@ -577,10 +793,26 @@ class _BytecodeFunctionCompiler(_FunctionCompiler):
             # Select arms evaluate lazily: no CSE inserts inside.
             self._cse_lazy += 1
             try:
-                return super()._gen(expr, env)
+                if not self._counting:
+                    return super()._gen(expr, env)
+                cond = self._gen(expr.cond, env)
+                then = self._gen_arm(expr.then, env)
+                other = self._gen_arm(expr.otherwise, env)
             finally:
                 self._cse_lazy -= 1
+            return self._gen_conv(
+                f"(({then}) if ({cond}) else ({other}))",
+                expr.ctype, env)
         return super()._gen(expr, env)
+
+    def _gen_arm(self, expr: N.Expr, env: Dict[str, object]) -> str:
+        """One lazy Select arm in counting mode: its events get their
+        own counter, bumped only when the arm is chosen."""
+        events = self._events(expr)
+        src = self._gen(expr, env)
+        if not events:
+            return src
+        return f"_kb({src}, {self._new_region(events)})"
 
     def _guarded_src(self, expr: N.Expr, env: Dict[str, object],
                      lines: List[str]) -> str:
@@ -758,10 +990,28 @@ class _BytecodeFunctionCompiler(_FunctionCompiler):
             self._cse_reset(stmt.value, stmt.length)
         before = self._ncalls
         if isinstance(stmt, N.Assign):
-            sub = self._gen_assign_stmt_lines(stmt, env)
+            if not self._counting:
+                sub = self._gen_assign_stmt_lines(stmt, env)
+            else:
+                # The value's events come before a call in it; the
+                # target's after (after a parallel boundary, in the
+                # call's post-boundary region).
+                self._count(self._events(stmt.value), lines)
+                sub = self._with_clean_call(
+                    stmt.value, self._gen_assign_stmt_lines, stmt, env)
+                self._count(target_events(stmt.target, self._in_memory),
+                            lines)
         elif isinstance(stmt, N.VectorAssign):
+            if self._counting:
+                self._count(self._events(stmt.target.length), lines)
             sub = self._gen_vector_assign_lines(stmt, env)
         elif isinstance(stmt, N.VectorReduce):
+            if self._counting:
+                sym = stmt.target.sym
+                events = self._events(stmt.length)
+                if self._in_memory(sym):
+                    events += [("load", sym.ctype), ("store", sym.ctype)]
+                self._count(events, lines)
             sub = self._gen_vector_reduce_lines(stmt, env)
         else:
             raise _Fallback(f"leaf statement {type(stmt).__name__}")
@@ -775,15 +1025,36 @@ class _BytecodeFunctionCompiler(_FunctionCompiler):
     def _emit_call_stmt(self, stmt: N.CallStmt, env: Dict[str, object],
                         lines: List[str]) -> None:
         self._cse_reset(stmt.call)
-        src = self._gen(stmt.call, env)
+        if self._counting:
+            self._count(self._events(stmt.call), lines)
+            src = self._with_clean_call(stmt.call, self._gen, stmt.call,
+                                        env)
+        else:
+            src = self._gen(stmt.call, env)
         lines += ["_sc[0] = count", src, "count = _sc[0]"]
 
     # -- vector statements -------------------------------------------------
 
-    def _cache_name(self, caches: List[str]) -> str:
+    def _cache_name(self, caches: List[str], expr: N.Expr) -> str:
+        """A per-statement cache for ``expr``, evaluated at most once
+        (on the first lane that needs it)."""
         name = self._tmp_name()
         caches.append(name)
+        if self._counting:
+            self._cache_events[name] = self._events(expr)
         return name
+
+    def _vec_call(self, caches: List[str], length: str,
+                  pos_events: list, ops, reduce_op) -> str:
+        """Counting mode: the one call a vector statement makes, with
+        its runtime length and the caches its lanes filled."""
+        counted = [c for c in caches if self._cache_events[c]]
+        regions = tuple(self._new_region(self._cache_events[c])
+                        for c in counted)
+        pos = self._new_region(pos_events) if pos_events else None
+        self._vectors.append((pos, regions, ops, reduce_op))
+        args = "".join(f", {c}" for c in counted)
+        return f"_vec({len(self._vectors) - 1}, {length}{args})"
 
     def _gen_vector_elem_src(self, expr: N.Expr, env: Dict[str, object],
                              caches: List[str], idx: str) -> str:
@@ -805,7 +1076,7 @@ class _BytecodeFunctionCompiler(_FunctionCompiler):
         if isinstance(expr, N.Section):
             if _is_aggregate(expr.ctype):
                 raise _Fallback("aggregate section")
-            c = self._cache_name(caches)
+            c = self._cache_name(caches, expr.addr)
             addr = f"int({self._gen(expr.addr, env)})"
             base = f"({c} if {c} is not None else ({c} := {addr}))"
             step = expr.stride * expr.ctype.sizeof()
@@ -835,12 +1106,12 @@ class _BytecodeFunctionCompiler(_FunctionCompiler):
                 f"(({then}) if ({cond}) else ({other}))",
                 expr.ctype, env)
         if isinstance(expr, N.Iota):
-            c = self._cache_name(caches)
+            c = self._cache_name(caches, expr.start)
             start = f"int({self._gen(expr.start, env)})"
             return (f"(({c} if {c} is not None else ({c} := {start}))"
                     f" + {idx})")
         # Scalars (including Mem) broadcast: evaluated once, cached.
-        c = self._cache_name(caches)
+        c = self._cache_name(caches, expr)
         scalar = self._gen(expr, env)
         return f"({c} if {c} is not None else ({c} := ({scalar})))"
 
@@ -889,6 +1160,10 @@ class _BytecodeFunctionCompiler(_FunctionCompiler):
                 ctype, env)
             body.append(f"    if {tm}[{idx}]:")
             body.extend(_ind(_ind(store)))
+        if self._counting:
+            body.append(self._vec_call(
+                caches, tl, self._events(target.addr),
+                tuple(vector_ops(stmt)), None))
         lines.append(f"if {tl} > 0:")
         lines.extend(_ind(body))
         return lines
@@ -909,6 +1184,8 @@ class _BytecodeFunctionCompiler(_FunctionCompiler):
         body = [f"{c} = None" for c in caches]
         body.append(f"for {idx} in range({tl}):")
         body.append(f"    {ta} = {impl}({ta}, ({elem}))")
+        if self._counting:
+            body.append(self._vec_call(caches, tl, [], (), stmt.op))
         lines.append(f"if {tl} > 0:")
         lines.extend(_ind(body))
         # ta is either the (converted) initial read or a kernel
@@ -937,34 +1214,51 @@ class _BytecodeFunctionCompiler(_FunctionCompiler):
             elif isinstance(stmt, N.CallStmt):
                 self._emit_call_stmt(stmt, env, lines)
             elif isinstance(stmt, N.IfStmt):
+                if self._counting:
+                    self._count(self._events(stmt.cond), lines)
                 src = self._guarded_bool_src(stmt.cond, env, lines)
                 da0 = set(self._da)
                 lines.append(f"if {src}:")
+                saved = self._enter_region()
                 then = self._gen_stmt_list_lines(stmt.then, env)
                 lines.extend(_ind(then or ["pass"]))
                 da_then = self._da
                 if stmt.otherwise:
                     self._da = set(da0)
+                    self._cur = None
                     lines.append("else:")
                     lines.extend(_ind(
                         self._gen_stmt_list_lines(stmt.otherwise, env)))
                     self._da = da_then & self._da
                 else:
                     self._da = da0
+                self._leave_region(saved)
+                # The oracle charges the branch after the chosen arm.
+                self._count([("branch", None)], lines)
             elif isinstance(stmt, N.WhileLoop):
                 lines.append("while True:")
                 sub: List[str] = []
+                saved = self._enter_region()
+                if self._counting:
+                    self._count(self._events(stmt.cond), sub)
                 csrc = self._guarded_bool_src(stmt.cond, env, sub)
                 sub.append(f"if not ({csrc}): break")
                 sub.append("count += 1")
                 sub.append("if count > _ms: _hit(_ms + 1)")
+                self._cur = None
                 da0 = set(self._da)
                 sub.extend(self._gen_stmt_list_lines(stmt.body, env))
                 self._da = da0  # body may run zero times
+                self._leave_region(saved)
                 lines.extend(_ind(sub))
             elif isinstance(stmt, N.DoLoop):
                 # Nested DO loops run serially inside a parallel body,
                 # parallel/vector flags included — like the oracle.
+                outer = self._ctx
+                if self._counting:
+                    self._count(self._events(stmt.lo)
+                                + self._events(stmt.hi)
+                                + [("do_exit", stmt.sid)], lines)
                 tlo = self._tmp_name()
                 self._guarded_assign(stmt.lo, env, lines, tlo)
                 hi = self._guarded_src(stmt.hi, env, lines)
@@ -973,10 +1267,20 @@ class _BytecodeFunctionCompiler(_FunctionCompiler):
                 lines.append(f"for {it} in {tvs}({tlo}, ({hi}), "
                              f"{stmt.step!r}):")
                 sub = ["count += 1", "if count > _ms: _hit(_ms + 1)"]
+                saved = self._enter_region()
+                if self._counting:
+                    self._ctx = outer + (stmt.sid,)
+                    self._count(write_events(stmt.var, self._in_memory),
+                                sub)
                 da0 = set(self._da)
                 sub.extend(self._gen_write_lines(stmt.var, it, env))
                 sub.extend(self._gen_stmt_list_lines(stmt.body, env))
                 self._da = da0  # zero-trip loops write nothing
+                if self._counting:
+                    self._count([("branch", None)], sub)
+                    self._count([("do_iter", stmt.sid)], sub, ctx=outer)
+                    self._ctx = outer
+                self._leave_region(saved)
                 lines.extend(_ind(sub))
             else:
                 # The oracle rejects these at runtime; let the closure
@@ -989,6 +1293,9 @@ class _BytecodeFunctionCompiler(_FunctionCompiler):
                            lines: List[str]) -> None:
         """Parallel (or vector) DoLoop executed as one flow node,
         mirroring the oracle's ``_exec_special_loop``."""
+        if self._counting:
+            self._count(self._events(stmt.lo) + self._events(stmt.hi),
+                        lines)
         tlo = self._tmp_name()
         self._guarded_assign(stmt.lo, env, lines, tlo)
         hi = self._guarded_src(stmt.hi, env, lines)
@@ -1005,13 +1312,27 @@ class _BytecodeFunctionCompiler(_FunctionCompiler):
                       f"elif {to} == 'shuffle':",
                       f"    {tr} = list({tr})",
                       f"    _eng._rng.shuffle({tr})"]
+            if self._counting:
+                lines.append(
+                    f"_eng.cost_hook('parallel_begin', {stmt.sid})")
         it = self._tmp_name()
         lines.append(f"for {it} in {tr}:")
         da0 = set(self._da)
-        body = self._gen_write_lines(stmt.var, it, env)
+        saved = self._enter_region()
+        body: List[str] = []
+        if self._counting:
+            self._count(write_events(stmt.var, self._in_memory), body)
+        body.extend(self._gen_write_lines(stmt.var, it, env))
         body.extend(self._gen_stmt_list_lines(stmt.body, env))
         self._da = da0  # per-trip writes are conditional on trips
+        self._leave_region(saved)
         lines.extend(_ind(body))
+        if self._counting:
+            if stmt.parallel:
+                lines.append(f"_eng.cost_hook('parallel_end', "
+                             f"{stmt.sid}, len({tr}))")
+                self._boundary()
+            self._count(write_events(stmt.var, self._in_memory), lines)
         # The trailing write is unconditional (so the loop variable IS
         # definitely assigned downstream).
         lines.extend(self._gen_write_lines(
@@ -1304,6 +1625,8 @@ class _BytecodeFunctionCompiler(_FunctionCompiler):
         self._da = set(da_in)
         lines: List[str] = []
         pending = 0
+        if self._counting:
+            self._cur = None
 
         def flush_ticks() -> None:
             # Batched ticks: one add + one check per side-effecting
@@ -1336,6 +1659,8 @@ class _BytecodeFunctionCompiler(_FunctionCompiler):
             first = False
             kind = node.kind
             pending += 1
+            if self._counting:
+                self._ctx = self._node_ctx(node)
             if kind in _PURE_KINDS:
                 node = node.succs[0] if node.succs else None
                 continue
@@ -1356,6 +1681,9 @@ class _BytecodeFunctionCompiler(_FunctionCompiler):
                 continue
             if kind == "cond":
                 flush_ticks()
+                if self._counting:
+                    self._count(self._events(node.stmt.cond)
+                                + [("branch", None)], lines)
                 src = self._guarded_bool_src(node.stmt.cond, env,
                                              lines)
                 if loop_break is not None:
@@ -1375,6 +1703,11 @@ class _BytecodeFunctionCompiler(_FunctionCompiler):
                     # 'after' join (do_cond's false branch).
                     node = node.succs[0].false_succ
                     continue
+                if self._counting:
+                    self._count(self._events(stmt.lo)
+                                + write_events(stmt.var, self._in_memory)
+                                + self._events(stmt.hi)
+                                + [("do_exit", stmt.sid)], lines)
                 lo = self._guarded_src(stmt.lo, env, lines)
                 lines.extend(self._gen_write_lines(stmt.var, lo, env))
                 hi = self._guarded_src(stmt.hi, env, lines)
@@ -1384,6 +1717,11 @@ class _BytecodeFunctionCompiler(_FunctionCompiler):
             if kind == "do_cond":
                 stmt = node.stmt
                 flush_ticks()
+                if self._counting:
+                    self._count([("load", stmt.var.ctype)]
+                                if self._in_memory(stmt.var) else [],
+                                lines)
+                    self._count([("branch", None)], lines)
                 # Variable read first (its uninitialized fault comes
                 # before any live bound evaluation), then the captured
                 # bound, re-evaluated live when entered by goto.
@@ -1396,7 +1734,11 @@ class _BytecodeFunctionCompiler(_FunctionCompiler):
                 lines.append(f"{th} = _h{self._hi_slot(stmt.sid)}")
                 lines.append(f"if {th} is _U:")
                 sub: List[str] = []
+                saved = self._enter_region()
+                if self._counting:
+                    self._count(self._events(stmt.hi), sub)
                 hi = self._guarded_src(stmt.hi, env, sub)
+                self._leave_region(saved)
                 sub.append(f"{th} = {hi}")
                 lines.extend(_ind(sub))
                 cmp = "<=" if stmt.step > 0 else ">="
@@ -1414,6 +1756,12 @@ class _BytecodeFunctionCompiler(_FunctionCompiler):
                 sym = stmt.var
                 if sym.is_volatile:
                     raise _Fallback("volatile loop variable")
+                if self._counting:
+                    self._count([("load", sym.ctype), ("store", sym.ctype)]
+                                if self._in_memory(sym) else [], lines)
+                    self._count([("intop", "+")], lines)
+                    self._count([("do_iter", stmt.sid)], lines,
+                                ctx=self._ctx_of.get(id(stmt), ()))
                 kind2, where = self._binding(sym)
                 if kind2 == "reg":
                     if where in self._da:
@@ -1445,8 +1793,14 @@ class _BytecodeFunctionCompiler(_FunctionCompiler):
                 flush_ticks()
                 if stmt.value is None:
                     lines.append("return None")
-                else:
+                elif not self._counting:
                     src = self._guarded_src(stmt.value, env, lines)
+                    lines.append(f"return {src}")
+                else:
+                    self._count(self._events(stmt.value), lines)
+                    src = self._with_clean_call(
+                        stmt.value, self._guarded_src, stmt.value, env,
+                        lines)
                     lines.append(f"return {src}")
                 return lines
             raise _Fallback(f"flow node kind {kind!r}")
@@ -1491,6 +1845,11 @@ class _BytecodeFunctionCompiler(_FunctionCompiler):
         }
         self._recipes = {"_sc": ("scell",), "_hit": ("hit",),
                          "_eng": ("engine",), "_mem": ("memory",)}
+        if self._counting:
+            for name, recipe in (("_K", ("counts",)), ("_kb", ("bump",)),
+                                 ("_vec", ("vec",))):
+                env[name] = None
+                self._recipes[name] = recipe
         try:
             body = self._gen_flow(env)
             params = self._gen_param_lines(env)
@@ -1510,6 +1869,8 @@ class _BytecodeFunctionCompiler(_FunctionCompiler):
             "_ms = _eng.max_steps",
             "_mark = _mem.mark()",
         ]
+        if self._counting:
+            inner.append("_k = _K")
         for slot, ctype in self._mem_allocs:
             inner.append(f"_m{slot} = _mem.allocate({ctype.sizeof()})")
         inner.extend(params)
@@ -1541,9 +1902,12 @@ class _BytecodeFunctionCompiler(_FunctionCompiler):
         except (SyntaxError, RecursionError, MemoryError,
                 ValueError) as exc:
             raise _Fallback(f"compile failed: {exc}") from None
+        table = _CountTable(self._regions, self._vectors,
+                            _unclean_loops(fn)) \
+            if self._counting else None
         return _CodegenEntry(fn, source, code, dict(self._recipes),
                              tuple(dict.fromkeys(self._baked)),
-                             len(self.engine.memory.data))
+                             len(self.engine.memory.data), table)
 
 
 # ---------------------------------------------------------------------------
@@ -1551,62 +1915,215 @@ class _BytecodeFunctionCompiler(_FunctionCompiler):
 # ---------------------------------------------------------------------------
 
 
+class _CountedRun:
+    """Prices one engine's counted blocks into its TitanCostModel.
+
+    Each installed counting function gets a counter list; pricing is
+    one dot product per (event kind, suppression) of the function's
+    event table against its counters, then a bulk
+    :meth:`~repro.titan.cost_model.TitanCostModel.charge`.  The model
+    runs :meth:`flush` at every parallel boundary (so counts land in
+    the region they ran in) and the engine at the end of every run."""
+
+    def __init__(self, model):
+        self.model = model
+        self._functions: List[tuple] = []
+        model.attach_pricer(self.flush)
+
+    def register(self, table: _CountTable) -> tuple:
+        """(counts, bump, vec) for one installed function."""
+        schedules = self.model.schedules
+        size = len(table.regions)
+        plan: Dict[tuple, List[int]] = {}
+        for index, events in enumerate(table.regions):
+            for kind, detail, loops in events:
+                sid = None
+                if kind in ("do_iter", "do_exit"):
+                    if detail not in schedules:
+                        continue
+                    sid = detail
+                key = (kind, sid, any(s in schedules for s in loops))
+                row = plan.get(key)
+                if row is None:
+                    row = plan[key] = [0] * size
+                row[index] += 1
+        counts = [0] * size
+        self._functions.append(
+            (counts, [0] * size,
+             [(row,) + key for key, row in plan.items()]))
+
+        def bump(value, index):
+            counts[index] += 1
+            return value
+
+        vectors = table.vectors
+        vector = self.model.vector
+        vector_reduce = self.model.vector_reduce
+
+        def vec(j, length, *caches):
+            pos, regions, ops, reduce_op = vectors[j]
+            if pos is not None:
+                counts[pos] += 1
+            for cache, region in zip(caches, regions):
+                if cache is not None:
+                    counts[region] += 1
+            if reduce_op is not None:
+                vector_reduce(reduce_op, length)
+            else:
+                for op, stride in ops:
+                    vector(op, length, stride)
+
+        return counts, bump, vec
+
+    def flush(self) -> None:
+        charge = self.model.charge
+        mul = operator.mul
+        for counts, zeros, plan in self._functions:
+            if any(counts):
+                for row, kind, sid, suppressed in plan:
+                    n = sum(map(mul, counts, row))
+                    if n:
+                        charge(kind, n, sid, suppressed)
+                counts[:] = zeros
+
+
 class BytecodeInterpreter(CompiledInterpreter):
     """Drop-in :class:`Interpreter` executing generated Python code.
 
     Same constructor, same public API, same observable semantics (the
     three-way differential tests enforce this against the tree oracle
-    and the closure engine).  Uninstrumented functions run as one
-    generated Python function each; with a cost hook installed
-    (TitanSimulator, profilers) execution delegates to the closure
-    tier, which emits the oracle's exact event order.
+    and the closure engine).  Each function runs as one generated
+    Python function.  Under a :class:`~repro.titan.cost_model.
+    TitanCostModel` hook without a profiler (the Titan simulator) the
+    generated code counts block executions, which the model prices in
+    bulk; any other hook, a profiler, or a program with a function the
+    generator cannot lower runs on the closure tier, which emits the
+    oracle's exact event stream (see :meth:`simulation_tier`).
     """
 
     engine_name = "bytecode"
     #: Codegen-cache lookups (a fallback entry counts as a miss).
     codegen_hits = 0
     codegen_misses = 0
+    #: ("counted", "") or ("events", reason) for the installed hook;
+    #: None until first needed.
+    _tier: Optional[Tuple[str, str]] = None
+    _counted: Optional[_CountedRun] = None
+    _calls: Optional[Dict[str, Set[str]]] = None
+    _par_fns: Optional[Set[str]] = None
+
+    def call_function(self, name: str,
+                      args: Sequence[Value]) -> Optional[Value]:
+        try:
+            return super().call_function(name, args)
+        finally:
+            if self._counted is not None:
+                self._counted.flush()
 
     def _exec_function(self, fn: N.ILFunction,
                        args: List[Value]) -> Optional[Value]:
         if self.cost_hook is not self._compiled_hook:
             self._compiled.clear()
             self._compiled_hook = self.cost_hook
+            self._tier = self._counted = None
         cached = self._compiled.get(fn.name)
         if cached is None or cached.fn is not fn:
             cached = self._materialize_function(fn)
             self._compiled[fn.name] = cached
         return cached.invoke(args)
 
+    def simulation_tier(self) -> Tuple[str, str]:
+        """How the installed cost hook is fed: ``("counted", "")`` when
+        generated code counts blocks for bulk pricing, else
+        ``("events", reason)`` with reason ``generic hook``,
+        ``profile``, ``fallback function`` (the closure tier runs some
+        function, so the whole run keeps the event stream) or
+        ``scheduled loop shape`` (a scheduled loop whose suppressed
+        charges counts cannot reproduce)."""
+        if self._tier is None:
+            self._tier = self._choose_tier(self.program.functions)
+        return self._tier
+
+    def _choose_tier(self, names) -> Tuple[str, str]:
+        """Decide the tier for a run that can reach functions
+        ``names``."""
+        from ..titan.cost_model import TitanCostModel
+        hook = self.cost_hook
+        if not isinstance(hook, TitanCostModel):
+            return ("events", "generic hook")
+        if hook.profiler is not None:
+            return ("events", "profile")
+        functions = self.program.functions
+        entries = [self._lookup(functions[name], counting=True)
+                   for name in names]
+        if any(isinstance(e, _FallbackEntry) for e in entries):
+            return ("events", "fallback function")
+        if any(sid in hook.schedules for e in entries
+               for sid in e.table.unclean):
+            return ("events", "scheduled loop shape")
+        self._counted = _CountedRun(hook)
+        return ("counted", "")
+
+    def _call_graph(self) -> Dict[str, Set[str]]:
+        if self._calls is None:
+            self._calls = _call_graph(self.program)
+        return self._calls
+
+    def _parallel_functions(self) -> Set[str]:
+        if self._par_fns is None:
+            self._par_fns = _parallel_functions(self.program,
+                                                self._call_graph())
+        return self._par_fns
+
+    def _reachable_functions(self, root: str) -> List[str]:
+        """Functions a run entered at ``root`` can call."""
+        calls = self._call_graph()
+        seen = [root]
+        for name in seen:
+            seen.extend(c for c in sorted(calls[name]) if c not in seen)
+        return seen
+
     def _materialize_function(self, fn: N.ILFunction) -> _CompiledFunction:
         from ..obs import telemetry
-        if self.cost_hook is not None:
-            # Instrumented tier: hooks are baked into the closure
-            # engine's closures; event order is bit-identical to the
-            # oracle there, so cycle totals and breakdowns match.
-            with telemetry.span("engine-compile", cat="engine",
-                                engine=self.engine_name,
-                                function=fn.name):
-                return _FunctionCompiler(self, fn).compile()
-        entry = getattr(fn, _CACHE_ATTR, None)
+        if self.cost_hook is None:
+            return self._install(self._lookup(fn, counting=False))
+        if self._tier is None:
+            # Decided at the run's first function, over what it can
+            # reach: functions that never run cannot fall back.
+            self._tier = self._choose_tier(
+                self._reachable_functions(fn.name))
+        if self._tier[0] == "counted":
+            return self._install(self._lookup(fn, counting=True))
+        # Event tier: hooks are baked into the closure engine's
+        # closures; event order is bit-identical to the oracle there.
+        with telemetry.span("engine-compile", cat="engine",
+                            engine=self.engine_name, function=fn.name):
+            return _FunctionCompiler(self, fn).compile()
+
+    def _lookup(self, fn: N.ILFunction, counting: bool):
+        """The (cached) codegen entry for ``fn`` in one flavour."""
+        from ..obs import telemetry
+        attr = _COUNTED_ATTR if counting else _CACHE_ATTR
+        entry = getattr(fn, attr, None)
         if entry is not None and self._entry_valid(entry):
             if isinstance(entry, _CodegenEntry):
                 self.codegen_hits += 1
             else:
                 self.codegen_misses += 1
-            return self._install(entry)
+            return entry
         self.codegen_misses += 1
         with telemetry.span("engine-codegen", cat="engine",
                             engine=self.engine_name, function=fn.name):
             try:
-                entry = _BytecodeFunctionCompiler(self, fn).generate()
+                entry = _BytecodeFunctionCompiler(
+                    self, fn, counting=counting).generate()
             except _Fallback as exc:
                 entry = _FallbackEntry(fn, str(exc))
         try:
-            setattr(fn, _CACHE_ATTR, entry)
+            setattr(fn, attr, entry)
         except (AttributeError, TypeError):
             pass
-        return self._install(entry)
+        return entry
 
     def _entry_valid(self, entry) -> bool:
         """A cached entry is reusable only while its baked facts hold:
@@ -1628,22 +2145,27 @@ class BytecodeInterpreter(CompiledInterpreter):
     def _install(self, entry) -> _CompiledFunction:
         if isinstance(entry, _FallbackEntry):
             return _FunctionCompiler(self, entry.fn).compile()
+        counted = self._counted.register(entry.table) \
+            if entry.table is not None else None
         env: Dict[str, object] = {"_U": _UNSET, "_ui": _raise_uninit,
                                   "_f32": _fast_round_f32}
         for name, recipe in entry.recipes.items():
-            env[name] = _materialize_recipe(self, recipe)
+            env[name] = _materialize_recipe(self, recipe, counted)
         namespace: Dict[str, object] = {}
         exec(entry.code, env, namespace)
         return _CompiledFunction(entry.fn, namespace["_bytecode_fn"])
 
     def invalidate_graphs(self) -> None:
         super().invalidate_graphs()
+        self._tier = self._counted = None
+        self._calls = self._par_fns = None
         for fn in self.program.functions.values():
-            if hasattr(fn, _CACHE_ATTR):
-                try:
-                    delattr(fn, _CACHE_ATTR)
-                except AttributeError:
-                    pass
+            for attr in (_CACHE_ATTR, _COUNTED_ATTR):
+                if hasattr(fn, attr):
+                    try:
+                        delattr(fn, attr)
+                    except AttributeError:
+                        pass
 
     # -- debugging ---------------------------------------------------------
 

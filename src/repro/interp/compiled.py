@@ -42,6 +42,7 @@ from ..frontend.ctypes_ import (ArrayType, CType, FloatType, IntType,
                                 PointerType, StructType)
 from ..frontend.symtab import Symbol
 from ..il import nodes as N
+from .events import vector_ops
 from .interpreter import (Interpreter, InterpreterError, StepLimitExceeded,
                           Value, _memory_locals, _scalar_type, _trip_values)
 from .memory import _INT_FORMATS, Memory, MemoryError_
@@ -1374,33 +1375,6 @@ class _FunctionCompiler:
             return value
         return broadcast
 
-    @staticmethod
-    def _vector_events(value: N.Expr) -> List[Tuple[str, int]]:
-        """The static part of the tree walker's ``_vector_cost`` walk:
-        (op, stride) per vector instruction, in emission order."""
-        events: List[Tuple[str, int]] = []
-
-        def walk(expr: N.Expr) -> None:
-            if isinstance(expr, N.Section):
-                events.append(("load", expr.stride))
-                return
-            if isinstance(expr, N.Mem):
-                return
-            if isinstance(expr, N.Iota):
-                events.append(("int_op", 1))
-                return
-            if isinstance(expr, (N.BinOp, N.UnOp)):
-                kind = expr.op if expr.ctype.is_float else "int_op"
-                events.append((kind, 1))
-            elif isinstance(expr, N.Select):
-                kind = "select" if expr.ctype.is_float else "int_op"
-                events.append((kind, 1))
-            for child in expr.children():
-                walk(child)
-
-        walk(value)
-        return events
-
     def _compile_vector_assign(self, stmt: N.VectorAssign) -> Callable:
         target = stmt.target
         length_f = self._compile_expr(target.length)
@@ -1465,10 +1439,7 @@ class _FunctionCompiler:
                     if masks[i]:
                         store(base + i * stride_bytes, value)
             return vassign
-        events = tuple(self._vector_events(stmt.value))
-        if stmt.mask is not None:
-            events = tuple(self._vector_events(stmt.mask)) + events
-        tstride = target.stride
+        events = tuple(vector_ops(stmt))
         if mask_f is None:
             def vassign(frame):
                 length = int(length_f(frame))
@@ -1481,7 +1452,6 @@ class _FunctionCompiler:
                     store(base + i * stride_bytes, value)
                 for op, stride in events:
                     hook("vector", op, length, stride)
-                hook("vector", "store", length, tstride)
             return vassign
 
         def vassign(frame):
@@ -1498,7 +1468,6 @@ class _FunctionCompiler:
                     store(base + i * stride_bytes, value)
             for op, stride in events:
                 hook("vector", op, length, stride)
-            hook("vector", "mask_store", length, tstride)
         return vassign
 
     def _compile_vector_reduce(self, stmt: N.VectorReduce) -> Callable:

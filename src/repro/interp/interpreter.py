@@ -30,6 +30,7 @@ from ..frontend.ctypes_ import (ArrayType, CType, FloatType, IntType,
                                 PointerType, StructType)
 from ..frontend.symtab import Symbol
 from ..il import nodes as N
+from .events import vector_ops
 from .memory import Memory
 
 Value = Union[int, float]
@@ -476,32 +477,8 @@ class Interpreter:
         for the store — each processing ``length`` elements."""
         if self.cost_hook is None:
             return
-
-        def walk_value(expr: N.Expr) -> None:
-            if isinstance(expr, N.Section):
-                self._cost("vector", "load", length, expr.stride)
-                return
-            if isinstance(expr, N.Mem):
-                return  # broadcast scalar load, evaluated once
-            if isinstance(expr, N.Iota):
-                # One index-generation instruction; the scalar start
-                # is vector addressing, not dataflow.
-                self._cost("vector", "int_op", length, 1)
-                return
-            if isinstance(expr, (N.BinOp, N.UnOp)):
-                kind = expr.op if expr.ctype.is_float else "int_op"
-                self._cost("vector", kind, length, 1)
-            elif isinstance(expr, N.Select):
-                kind = "select" if expr.ctype.is_float else "int_op"
-                self._cost("vector", kind, length, 1)
-            for child in expr.children():
-                walk_value(child)
-
-        if stmt.mask is not None:
-            walk_value(stmt.mask)
-        walk_value(stmt.value)
-        store_op = "store" if stmt.mask is None else "mask_store"
-        self._cost("vector", store_op, length, stmt.target.stride)
+        for op, stride in vector_ops(stmt):
+            self._cost("vector", op, length, stride)
 
     def _exec_vector_reduce(self, stmt: N.VectorReduce,
                             frame: _Frame) -> None:
@@ -901,7 +878,11 @@ def make_interpreter(program: N.ILProgram, engine: str = "tree",
     magnitude faster.  ``engine="bytecode"`` is the whole-function
     codegen engine (:mod:`repro.interp.bytecode`): each flow graph
     lowers to one source-compiled Python function; same observables
-    again, another ~2×+ on the uninstrumented hot path.
+    again, another ~2×+ on the uninstrumented hot path.  Under a
+    :class:`~repro.titan.cost_model.TitanCostModel` hook it counts
+    block executions for bulk pricing (same cycles, no per-event
+    calls); other hooks and profiled models get the closure tier's
+    event stream.
     """
     if engine == "tree":
         return Interpreter(program, **kwargs)

@@ -43,8 +43,10 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from ..il import nodes as N
+from ..interp.events import vector_ops
 from ..opt.fold import const_int_value
 from ..titan.config import TitanConfig
+from ..titan.cost_model import VECTOR_MEMORY_OPS
 from . import schemas
 from .counters import CounterStore, counters_from_result
 from .metrics import MetricsRegistry
@@ -103,34 +105,13 @@ def _loop_trips(loop: N.DoLoop) -> Optional[int]:
 
 
 def _vector_ops(stmt) -> List[Dict[str, object]]:
-    """The vector instructions one vector statement issues, mirroring
-    the interpreter's ``_vector_cost``: one per load section, one per
-    dataflow operator, one for the store."""
-    ops: List[Dict[str, object]] = []
-
-    def walk_value(expr: N.Expr) -> None:
-        if isinstance(expr, N.Section):
-            ops.append({"op": "load", "stride": expr.stride})
-            return
-        if isinstance(expr, N.Mem):
-            return  # broadcast scalar, evaluated once
-        if isinstance(expr, N.Iota):
-            ops.append({"op": "compute", "stride": 1})
-            return  # the scalar start is addressing, not dataflow
-        if isinstance(expr, (N.BinOp, N.UnOp, N.Select)):
-            ops.append({"op": "compute", "stride": 1})
-        for child in expr.children():
-            walk_value(child)
-
-    if isinstance(stmt, N.VectorAssign):
-        if stmt.mask is not None:
-            walk_value(stmt.mask)
-        walk_value(stmt.value)
-        store_op = "store" if stmt.mask is None else "mask_store"
-        ops.append({"op": store_op, "stride": stmt.target.stride})
-    elif isinstance(stmt, N.VectorReduce):
-        ops.append({"op": "reduce", "stride": 1})
-    return ops
+    """The vector instructions one vector statement issues, as the
+    interpreters charge them (:func:`repro.interp.events.vector_ops`),
+    with every dataflow operator labelled ``compute``."""
+    if isinstance(stmt, N.VectorReduce):
+        return [{"op": "reduce", "stride": 1}]
+    return [{"op": op if op in VECTOR_MEMORY_OPS else "compute",
+             "stride": stride} for op, stride in vector_ops(stmt)]
 
 
 def _chunk_lengths(total: int, step: int,
@@ -164,7 +145,7 @@ def _estimate_vector_cost(stmt, total: int, step: int,
         startup = cfg.vector_startup * chunks
         out["vector_startup"] += startup
         per_element = cfg.vector_element_cycles
-        memory_op = op["op"] in ("load", "store", "mask_store")
+        memory_op = op["op"] in VECTOR_MEMORY_OPS
         if memory_op and abs(op["stride"]) != 1:
             per_element *= cfg.vector_stride_penalty
         cycles = startup + per_element * total

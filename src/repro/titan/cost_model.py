@@ -15,8 +15,8 @@ execution semantics) and accumulates cycles under the machine model in
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from dataclasses import dataclass, fields
+from typing import Callable, Dict, List, Optional
 
 from ..sched.scheduler import LoopSchedule
 from .config import TitanConfig
@@ -25,7 +25,7 @@ from .config import TitanConfig
 #: ``vector_memory`` bucket, stride-penalized, and not counted as
 #: flops.  ``mask_store`` is the predicated store of a masked
 #: VectorAssign — same pipe as a plain store.
-_VECTOR_MEMORY_OPS = ("load", "store", "mask_store")
+VECTOR_MEMORY_OPS = ("load", "store", "mask_store")
 
 
 @dataclass
@@ -87,74 +87,182 @@ class CycleBreakdown:
         }
 
 
+#: Scalar event kind -> (latency field of TitanConfig, breakdown
+#: bucket, OpCounters field).  The one description of what a scalar
+#: event costs, shared by the per-event handlers and the bulk
+#: :meth:`TitanCostModel.charge`.
+_SCALAR_EVENTS = {
+    "flop": ("fp_latency", "scalar", "flops"),
+    "intop": ("int_latency", "scalar", "int_ops"),
+    "load": ("load_latency", "memory", "loads"),
+    "store": ("store_latency", "memory", "stores"),
+    "branch": ("branch_cycles", "scalar", "branches"),
+    "call": ("call_overhead", "scalar", "calls"),
+}
+
+#: Every event kind the model prices; others (fn_enter, fn_exit) are
+#: ignored.
+_EVENT_KINDS = tuple(_SCALAR_EVENTS) + (
+    "do_enter", "do_iter", "do_exit", "vector", "vector_reduce",
+    "list_chase", "parallel_begin", "parallel_end")
+
+_BUCKETS = tuple(f.name for f in fields(CycleBreakdown))
+
+
+def _exact(value):
+    """An exact stand-in for a config number: an int when the value is
+    integral (every default latency), else the float's exact Fraction.
+    Sums of these are exact in any order."""
+    if isinstance(value, int):
+        return value
+    if float(value).is_integer():
+        return int(value)
+    from fractions import Fraction
+    return Fraction(value)
+
+
 class TitanCostModel:
-    """A callable usable as the interpreter's ``cost_hook``."""
+    """A callable usable as the interpreter's ``cost_hook``.
+
+    Charges accumulate exactly (ints, or Fractions for non-integral
+    latencies) in a pending sum, folded into the float ``cycles``
+    only at parallel-region boundaries; so the total does not depend
+    on the order charges arrive in, and a run priced event by event
+    equals one priced from block counts (:meth:`charge`).
+    """
 
     def __init__(self, config: Optional[TitanConfig] = None,
                  schedules: Optional[Dict[int, LoopSchedule]] = None,
                  profiler=None):
         self.config = config or TitanConfig()
         self.schedules = schedules or {}
-        self.cycles: float = 0.0
         self.counters = OpCounters()
-        self.breakdown = CycleBreakdown()
+        # Folded float cycles, and the exact sum charged since the
+        # last parallel boundary.
+        self._folded: float = 0.0
+        self._pending = 0
+        self._buckets = dict.fromkeys(_BUCKETS, 0)
         # Stack of (loop_sid, iterations) for active scheduled loops.
         self._sched_stack: List[List] = []
         # Stack of (sid, cycles_at_entry) for active parallel regions.
         self._parallel_stack: List[List] = []
+        # Callables that price counted blocks into this model; run at
+        # every parallel boundary so counts land in the right region.
+        self._pricers: List[Callable[[], None]] = []
         # Optional HotLoopProfiler: sees every event plus the cycle
         # delta it was charged, for per-loop/function attribution.
         self.profiler = profiler
+        cfg = self.config
+        self._scalar = {kind: (_exact(getattr(cfg, latency)), bucket,
+                               counter)
+                        for kind, (latency, bucket, counter)
+                        in _SCALAR_EVENTS.items()}
+        self._branch = self._scalar["branch"][0]
+        self._vector_startup = _exact(cfg.vector_startup)
+        self._vector_element = _exact(cfg.vector_element_cycles)
+        self._stride_penalty = _exact(cfg.vector_stride_penalty)
+        self._fp_issue = _exact(cfg.fp_issue)
+        self._handlers = {kind: getattr(self, "_on_" + kind)
+                          for kind in _EVENT_KINDS}
 
     # ------------------------------------------------------------------
 
     def __call__(self, kind: str, *details) -> None:
+        handler = self._handlers.get(kind)
         if self.profiler is None:
-            handler = getattr(self, "_on_" + kind, None)
             if handler is not None:
                 handler(*details)
             return
         before = self.cycles
-        handler = getattr(self, "_on_" + kind, None)
         if handler is not None:
             handler(*details)
         self.profiler.on_event(kind, details, self.cycles - before)
 
     @property
+    def cycles(self) -> float:
+        return self._folded + self._pending
+
+    @property
+    def breakdown(self) -> CycleBreakdown:
+        return CycleBreakdown(**{name: float(value) for name, value
+                                 in self._buckets.items()})
+
+    @property
     def _suppressed(self) -> bool:
         return bool(self._sched_stack)
 
-    def _charge(self, cycles: float, bucket: str = "scalar") -> None:
-        if not self._suppressed:
-            self.cycles += cycles
-            setattr(self.breakdown, bucket,
-                    getattr(self.breakdown, bucket) + cycles)
+    def _charge(self, cycles, bucket: str = "scalar") -> None:
+        if not self._sched_stack:
+            self._pending += cycles
+            self._buckets[bucket] += cycles
+
+    # -- bulk pricing ---------------------------------------------------
+
+    def charge(self, kind: str, count: int, sid: Optional[int] = None,
+               suppressed: bool = False) -> None:
+        """Charge ``count`` occurrences of one event kind at once.
+
+        Scalar kinds count and (unless ``suppressed`` — the events sat
+        inside a scheduled loop) charge their latency; ``do_iter`` and
+        ``do_exit`` of scheduled loop ``sid`` charge its initiation
+        interval per iteration and one branch per exit, the §6 lump
+        charge the per-event path makes at each exit."""
+        scalar = self._scalar.get(kind)
+        if scalar is not None:
+            latency, bucket, counter = scalar
+            setattr(self.counters, counter,
+                    getattr(self.counters, counter) + count)
+            cost = latency * count
+        elif kind == "do_iter":
+            cost = _exact(self.schedules[sid].initiation_interval) \
+                * count
+            bucket = "scheduled"
+        elif kind == "do_exit":
+            cost = self._branch * count
+            bucket = "scheduled"
+        else:
+            raise ValueError(f"no bulk charge for event kind {kind!r}")
+        if not suppressed:
+            self._pending += cost
+            self._buckets[bucket] += cost
+
+    def attach_pricer(self, pricer: Callable[[], None]) -> None:
+        """Register a callable that prices pending block counts; it
+        runs at every parallel boundary."""
+        self._pricers.append(pricer)
+
+    def _fold(self) -> None:
+        for pricer in self._pricers:
+            pricer()
+        if self._pending:
+            self._folded += self._pending
+            self._pending = 0
 
     # -- scalar operations ---------------------------------------------------
 
     def _on_flop(self, op: str = "") -> None:
         self.counters.flops += 1
-        self._charge(self.config.fp_latency)
+        self._charge(self._scalar["flop"][0])
 
     def _on_intop(self, op: str = "") -> None:
         self.counters.int_ops += 1
-        self._charge(self.config.int_latency)
+        self._charge(self._scalar["intop"][0])
 
     def _on_load(self, ctype=None) -> None:
         self.counters.loads += 1
-        self._charge(self.config.load_latency, "memory")
+        self._charge(self._scalar["load"][0], "memory")
 
     def _on_store(self, ctype=None) -> None:
         self.counters.stores += 1
-        self._charge(self.config.store_latency, "memory")
+        self._charge(self._scalar["store"][0], "memory")
 
     def _on_branch(self) -> None:
         self.counters.branches += 1
-        self._charge(self.config.branch_cycles)
+        self._charge(self._branch)
 
     def _on_call(self, name: str = "") -> None:
         self.counters.calls += 1
-        self._charge(self.config.call_overhead)
+        self._charge(self._scalar["call"][0])
 
     # -- scheduled loops -----------------------------------------------------
 
@@ -170,8 +278,8 @@ class TitanCostModel:
         if self._sched_stack and self._sched_stack[-1][0] == sid:
             _, iters = self._sched_stack.pop()
             schedule = self.schedules[sid]
-            self._charge(schedule.initiation_interval * iters
-                         + self.config.branch_cycles, "scheduled")
+            self._charge(_exact(schedule.initiation_interval) * iters
+                         + self._branch, "scheduled")
 
     # -- vector instructions ----------------------------------------------------
 
@@ -183,63 +291,78 @@ class TitanCostModel:
         return max(1, -(-max(length, 0) // mvl))
 
     def _on_vector(self, op: str, length: int, stride: int) -> None:
-        cfg = self.config
+        self.vector(op, length, stride, self._suppressed)
+
+    def vector(self, op: str, length: int, stride: int,
+               suppressed: bool = False) -> None:
+        """One vector instruction over ``length`` elements (several
+        when ``length`` exceeds the maximum vector length)."""
         chunks = self._chunks(length)
         self.counters.vector_instructions += chunks
         self.counters.vector_elements += length
-        if op not in _VECTOR_MEMORY_OPS and op != "int_op":
+        memory = op in VECTOR_MEMORY_OPS
+        if not memory and op != "int_op":
             self.counters.flops += length
-        per_element = cfg.vector_element_cycles
-        if op in _VECTOR_MEMORY_OPS and abs(stride) != 1:
-            per_element *= cfg.vector_stride_penalty
-        bucket = "vector_memory" if op in _VECTOR_MEMORY_OPS \
-            else "vector_compute"
-        startup = cfg.vector_startup * chunks
-        self._charge(startup + per_element * max(length, 0), bucket)
-        if not self._suppressed:
-            self.breakdown.vector_startup += startup
+        if suppressed:
+            return
+        per_element = self._vector_element
+        if memory and abs(stride) != 1:
+            per_element *= self._stride_penalty
+        startup = self._vector_startup * chunks
+        cost = startup + per_element * max(length, 0)
+        self._pending += cost
+        buckets = self._buckets
+        buckets["vector_memory" if memory else "vector_compute"] += cost
+        buckets["vector_startup"] += startup
 
     def _on_vector_reduce(self, op: str, length: int) -> None:
+        self.vector_reduce(op, length, self._suppressed)
+
+    def vector_reduce(self, op: str, length: int,
+                      suppressed: bool = False) -> None:
         """A pipelined vector reduction: startup, one element per
         cycle, plus a short tree tail to collapse the partial sums."""
-        cfg = self.config
         chunks = self._chunks(length)
         self.counters.vector_instructions += chunks
         self.counters.vector_elements += length
         self.counters.flops += length
-        tail = max(1, length).bit_length() * cfg.fp_issue
-        startup = cfg.vector_startup * chunks
-        self._charge(startup
-                     + cfg.vector_element_cycles * max(length, 0)
-                     + tail, "vector_compute")
-        if not self._suppressed:
-            self.breakdown.vector_startup += startup
+        if suppressed:
+            return
+        tail = max(1, length).bit_length() * self._fp_issue
+        startup = self._vector_startup * chunks
+        cost = startup + self._vector_element * max(length, 0) + tail
+        self._pending += cost
+        self._buckets["vector_compute"] += cost
+        self._buckets["vector_startup"] += startup
 
     def _on_list_chase(self, count: int = 1) -> None:
         """Serial pointer chase of a parallelized list loop: one
         dependent load plus a branch per node (it cannot pipeline —
         each address comes from the previous load)."""
-        self._charge(count * (self.config.load_latency
-                              + self.config.branch_cycles), "memory")
+        self._charge(count * (self._scalar["load"][0] + self._branch),
+                     "memory")
 
     # -- parallel regions ----------------------------------------------------------
 
     def _on_parallel_begin(self, sid: int) -> None:
-        self._parallel_stack.append([sid, self.cycles])
+        self._fold()
+        self._parallel_stack.append([sid, self._folded])
 
     def _on_parallel_end(self, sid: int, trips: int) -> None:
         if not self._parallel_stack \
                 or self._parallel_stack[-1][0] != sid:
             return
         _, start_cycles = self._parallel_stack.pop()
+        self._fold()
         self.counters.parallel_loops += 1
         cfg = self.config
-        inner = self.cycles - start_cycles
+        inner = self._folded - start_cycles
         workers = max(1, min(cfg.processors, max(trips, 1)))
         if workers > 1:
             inner = inner / (workers * cfg.parallel_efficiency)
-        self.cycles = start_cycles + cfg.parallel_startup + inner
-        self.breakdown.parallel_overhead += cfg.parallel_startup
+        self._folded = start_cycles + cfg.parallel_startup + inner
+        self._buckets["parallel_overhead"] += \
+            _exact(cfg.parallel_startup)
 
     # -- reporting -------------------------------------------------------------------
 

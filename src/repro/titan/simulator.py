@@ -10,7 +10,7 @@ be timed "as compiled" at different optimization levels.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..il import nodes as N
 from ..interp.interpreter import Value, make_interpreter
@@ -55,7 +55,7 @@ class TitanSimulator:
                  memory_size: int = 1 << 22,
                  max_steps: int = 50_000_000,
                  profile: bool = False,
-                 engine: str = "compiled"):
+                 engine: str = "bytecode"):
         self.program = program
         self.engine = engine
         self.config = config or TitanConfig()
@@ -69,9 +69,10 @@ class TitanSimulator:
             if profile else None
         self.cost_model = TitanCostModel(self.config, schedules,
                                          profiler=self.profiler)
-        # The closure-compiled engine is the default: same event
-        # stream (cycles, profiler attribution), much faster.  Pass
-        # engine="tree" to time against the semantic oracle.
+        # The bytecode engine is the default: it counts block
+        # executions and the cost model prices them in bulk (profiled
+        # runs keep the per-event stream).  Every engine reports the
+        # same cycles; pass engine="tree" to time against the oracle.
         self.interpreter = make_interpreter(program, engine=engine,
                                             memory_size=memory_size,
                                             max_steps=max_steps,
@@ -91,6 +92,14 @@ class TitanSimulator:
     def global_scalar(self, name: str) -> Value:
         return self.interpreter.global_scalar(name)
 
+    def tier(self) -> Tuple[str, str]:
+        """How the run is priced: ``("counted", "")`` when the bytecode
+        engine counts blocks, else ``("events", reason)``."""
+        tier = getattr(self.interpreter, "simulation_tier", None)
+        if tier is None:
+            return ("events", "engine")
+        return tier()
+
     def run(self, entry: str = "main", *args: Value) -> TitanReport:
         from ..obs import telemetry
         with telemetry.span("simulate", cat="engine",
@@ -98,6 +107,10 @@ class TitanSimulator:
             result = self.interpreter.run(entry, *args)
             if targs:
                 targs["cycles"] = self.cost_model.cycles
+                tier, reason = self.tier()
+                targs["tier"] = tier
+                if reason:
+                    targs["reason"] = reason
         model = self.cost_model
         profile = self.profiler.report(model.cycles) \
             if self.profiler is not None else None
@@ -113,7 +126,9 @@ class TitanSimulator:
 def simulate(program: N.ILProgram, entry: str = "main",
              config: Optional[TitanConfig] = None,
              use_scheduler: bool = True, profile: bool = False,
-             engine: str = "compiled", *args: Value) -> TitanReport:
+             engine: Optional[str] = None, *args: Value) -> TitanReport:
+    """Build a :class:`TitanSimulator` and run ``entry`` once;
+    ``engine=None`` takes the simulator's default."""
+    kwargs = {} if engine is None else {"engine": engine}
     return TitanSimulator(program, config, use_scheduler=use_scheduler,
-                          profile=profile,
-                          engine=engine).run(entry, *args)
+                          profile=profile, **kwargs).run(entry, *args)

@@ -285,6 +285,84 @@ class TestProfiler:
 
 
 # ---------------------------------------------------------------------------
+# Simulation tier on the ``simulate`` telemetry span
+# ---------------------------------------------------------------------------
+
+
+class _SpanSink:
+    def __init__(self):
+        self.spans = []
+
+    def on_span(self, span):
+        self.spans.append(span)
+
+
+def _simulate_span(source, entry="main", **sim_kwargs):
+    from repro.obs import telemetry
+    program = compile_c(source).program
+    sim = TitanSimulator(program, **sim_kwargs)
+    sink = _SpanSink()
+    with telemetry.session(sink):
+        sim.run(entry)
+    (span,) = [s for s in sink.spans if s.name == "simulate"]
+    return span.args
+
+
+TIER_SOURCE = """
+float a[32], b[32];
+int main(void) {
+    int i;
+    for (i = 0; i < 32; i++)
+        a[i] = b[i] * 2.0f + 1.0f;
+    return 0;
+}
+"""
+
+
+class TestSimulateTier:
+    def test_counted_tier_on_the_default_engine(self):
+        args = _simulate_span(TIER_SOURCE)
+        assert args["engine"] == "bytecode"
+        assert args["tier"] == "counted"
+        assert "reason" not in args
+
+    @pytest.mark.parametrize("kwargs,reason", [
+        ({"profile": True}, "profile"),
+        ({"engine": "compiled"}, "engine"),
+        ({"engine": "tree"}, "engine"),
+    ])
+    def test_event_tier_names_its_reason(self, kwargs, reason):
+        args = _simulate_span(TIER_SOURCE, **kwargs)
+        assert (args["tier"], args["reason"]) == ("events", reason)
+
+    def test_fallback_function_reason(self):
+        source = TIER_SOURCE.replace("float a[32]",
+                                     "volatile int dev;\nfloat a[32]")
+        source = source.replace("return 0;", "return dev;")
+        args = _simulate_span(source)
+        assert (args["tier"], args["reason"]) == \
+            ("events", "fallback function")
+
+    def test_generic_hook_reason(self):
+        from repro.interp import make_interpreter
+        interp = make_interpreter(compile_c(TIER_SOURCE).program,
+                                  engine="bytecode",
+                                  cost_hook=lambda *event: None)
+        interp.run("main")
+        assert interp.simulation_tier() == ("events", "generic hook")
+
+    def test_disabled_telemetry_never_asks_for_the_tier(self,
+                                                        monkeypatch):
+        # No session: the span is a no-op and the tier is not computed.
+        def fail(self):
+            raise AssertionError("tier computed with telemetry off")
+        monkeypatch.setattr(TitanSimulator, "tier", fail)
+        program = compile_c(TIER_SOURCE).program
+        report = TitanSimulator(program).run("main")
+        assert report.cycles > 0
+
+
+# ---------------------------------------------------------------------------
 # Vector-length plumbing and cost-model chunking
 # ---------------------------------------------------------------------------
 
